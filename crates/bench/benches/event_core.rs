@@ -13,9 +13,11 @@
 //! gates.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use filterwatch_core::World;
 use filterwatch_http::Url;
 use filterwatch_netsim::FetchPath;
-use filterwatch_testkit::{build_world, plan_for_seed, FaultPlan, GeneratedWorld, ScenarioPlan};
+use filterwatch_netsim::VantageId;
+use filterwatch_testkit::{build_world, deployment_name, plan_for_seed, FaultPlan, ScenarioPlan};
 use filterwatch_urllists::TestList;
 
 const BATCH: usize = 1024;
@@ -32,34 +34,35 @@ fn scale_plan(host_scale: usize) -> ScenarioPlan {
     plan
 }
 
-fn world_and_urls(host_scale: usize) -> (GeneratedWorld, Vec<Url>) {
+/// The plan's world, its global-list URLs, and the first deployment's
+/// field vantage every rung fetches from.
+fn world_and_urls(host_scale: usize) -> (World, Vec<Url>, VantageId) {
     let plan = scale_plan(host_scale);
-    let gw = build_world(&plan);
+    let world = build_world(&plan);
+    let vp = world.field(&deployment_name(0, &plan.deployments[0]));
     let urls = TestList::global(plan.urls_per_category)
         .urls
         .iter()
         .map(|t| Url::parse(&t.url).expect("list URL"))
         .collect();
-    (gw, urls)
+    (world, urls, vp)
 }
 
 /// Open `BATCH` flows at one virtual instant, drain the queue, collect
 /// every outcome. Returns the completed-flow count (always `BATCH`).
-fn run_batch(gw: &GeneratedWorld, urls: &[Url]) -> usize {
-    let vp = gw.vantages[0];
+fn run_batch(world: &World, vp: VantageId, urls: &[Url]) -> usize {
     let flows: Vec<_> = (0..BATCH)
-        .map(|i| gw.net.start_fetch(vp, &urls[i % urls.len()]))
+        .map(|i| world.net.start_fetch(vp, &urls[i % urls.len()]))
         .collect();
-    gw.net.run_to_quiescence();
+    world.net.run_to_quiescence();
     flows
         .into_iter()
-        .filter(|&f| gw.net.take_outcome(f).is_some())
+        .filter(|&f| world.net.take_outcome(f).is_some())
         .count()
 }
 
 fn bench_event_core(c: &mut Criterion) {
-    let (small, urls) = world_and_urls(0);
-    let vp = small.vantages[0];
+    let (small, urls, vp) = world_and_urls(0);
 
     small.net.set_fetch_path(FetchPath::Event);
     c.bench_function("netsim/event-core-single-flow", |b| {
@@ -73,14 +76,14 @@ fn bench_event_core(c: &mut Criterion) {
 
     small.net.set_fetch_path(FetchPath::Event);
     c.bench_function("netsim/event-core-batch-1k", |b| {
-        b.iter(|| assert_eq!(run_batch(&small, &urls), BATCH))
+        b.iter(|| assert_eq!(run_batch(&small, vp, &urls), BATCH))
     });
 
     // World build (~10⁵ hosts across ~3k ASes) happens once, untimed;
     // the rung times event-core flows riding on the big world's tables.
-    let (big, big_urls) = world_and_urls(100_000);
+    let (big, big_urls, big_vp) = world_and_urls(100_000);
     c.bench_function("netsim/event-core-100k-hosts", |b| {
-        b.iter(|| assert_eq!(run_batch(&big, &big_urls), BATCH))
+        b.iter(|| assert_eq!(run_batch(&big, big_vp, &big_urls), BATCH))
     });
 }
 

@@ -484,7 +484,7 @@ fn explain(seed: u64, target: Option<&str>) {
 /// identify/confirm tables, the checkpoint log (each line is a valid
 /// `resume` input), and the stable telemetry report — whose `sched` /
 /// `sched.wait` spans show the scheduler parking each campaign on the
-/// timer wheel through the vendor review window.
+/// timer queue through the vendor review window.
 fn orchestrate(seed: u64) {
     use filterwatch_orchestrator::{
         CampaignDescriptor, CampaignKind, CampaignStatus, Orchestrator, Outcome, PaperDriver,
@@ -545,7 +545,7 @@ fn orchestrate(seed: u64) {
 /// and print the identify/confirm tables. They are byte-identical to
 /// the uninterrupted run's.
 fn resume(arg: &str) {
-    use filterwatch_orchestrator::{resume_paper_campaign, CampaignCheckpoint, CampaignKind};
+    use filterwatch_orchestrator::{resume_paper_campaign, CampaignCheckpoint};
 
     let line = match std::fs::read_to_string(arg) {
         Ok(contents) => match contents.lines().rev().find(|l| !l.trim().is_empty()) {
@@ -561,13 +561,10 @@ fn resume(arg: &str) {
         eprintln!("error: {e}");
         std::process::exit(1);
     });
-    if ckpt.descriptor.kind == CampaignKind::Generated {
-        eprintln!(
-            "error: generated campaigns resume via filterwatch-testkit's \
-             resume_generated_campaign (the world generator lives there)"
-        );
+    let report = resume_paper_campaign(&line).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
         std::process::exit(1);
-    }
+    });
     println!("== resume ==");
     println!("campaign: {}", ckpt.descriptor.to_line());
     println!("stage:    {}", ckpt.stage.to_line());
@@ -576,10 +573,6 @@ fn resume(arg: &str) {
         ckpt.clock_secs,
         ckpt.cases.len()
     );
-    let report = resume_paper_campaign(&line).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
     println!();
     println!("## identify");
     print!("{}", report.identify_table());

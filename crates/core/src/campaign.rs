@@ -37,7 +37,8 @@ pub struct Campaign {
     pub confirmations: Vec<CaseStudySpec>,
     /// URLs per category for characterization lists.
     pub list_urls_per_category: usize,
-    /// Characterization repetitions (ride out flaky deployments).
+    /// Characterization repetitions (ride out flaky deployments); zero
+    /// skips characterization entirely.
     pub characterize_runs: usize,
     /// Resilience configuration for every measurement client the
     /// campaign builds (passthrough by default).
@@ -112,18 +113,12 @@ impl Campaign {
 
     /// Run the whole campaign: the thin linear composition of
     /// [`CampaignRun`]'s stage methods. The orchestrator drives the
-    /// same methods with `Wait` deadlines serviced by a timer wheel and
+    /// same methods with `Wait` deadlines serviced by a timer queue and
     /// a checkpoint written at every stage boundary.
     pub fn run(self) -> CampaignReport {
         let mut run = CampaignRun::begin(self);
         run.identify();
-        for i in 0..run.case_count() {
-            run.baseline(i);
-            run.submit();
-            let deadline = run.announce_wait();
-            run.advance_to(deadline);
-            run.retest();
-        }
+        run.confirm_remaining();
         run.characterize_confirmed();
         run.finish()
     }
@@ -131,8 +126,10 @@ impl Campaign {
 
 /// A campaign in flight, paused between stage boundaries.
 ///
-/// [`CampaignRun::begin`] builds the world and opens the campaign's
-/// telemetry/trace scopes; the stage methods (`identify`, then per case
+/// [`CampaignRun::begin`] builds the paper world and
+/// [`CampaignRun::with_world`] takes one built elsewhere (the testkit's
+/// generated worlds); either opens the campaign's telemetry/trace
+/// scopes. The stage methods (`identify`, then per case
 /// `baseline` → `submit` → `announce_wait` → `advance_to` → `retest`,
 /// then `characterize_confirmed`) execute one stage each; `finish`
 /// closes the scopes and assembles the [`CampaignReport`]. Because the
@@ -153,11 +150,11 @@ pub struct CampaignRun {
 }
 
 impl CampaignRun {
-    /// Build the world, arm resilience/faults, and open the campaign's
-    /// telemetry span and trace scope.
+    /// Build the paper world, arm its field faults and an enabled
+    /// telemetry collector, then start the campaign on it
+    /// ([`CampaignRun::with_world`]).
     pub fn begin(campaign: Campaign) -> CampaignRun {
         let mut world = World::build(campaign.options.clone());
-        world.resilience = campaign.resilience.clone();
         if let Some(faults) = &campaign.field_faults {
             // Chaos strikes the censoring access networks the campaign
             // measures through; the lab control path stays clean, as the
@@ -182,8 +179,19 @@ impl CampaignRun {
         // Campaigns are the auditable entry point, so they always record
         // telemetry; the staged functions inherit whatever handle the
         // world's Internet carries (disabled by default).
-        let telemetry = TelemetryHandle::enabled();
-        world.net.set_telemetry(telemetry.clone());
+        world.net.set_telemetry(TelemetryHandle::enabled());
+        CampaignRun::with_world(campaign, world)
+    }
+
+    /// Start `campaign` on an already-built world: arm its resilience,
+    /// attach its tracer, and open the campaign span on whatever
+    /// telemetry handle the world carries. `campaign.options.seed`
+    /// seeds the tracer and labels the report; the rest of
+    /// `campaign.options` and `campaign.field_faults` describe the
+    /// world [`CampaignRun::begin`] builds and are not applied here.
+    pub fn with_world(campaign: Campaign, mut world: World) -> CampaignRun {
+        world.resilience = campaign.resilience.clone();
+        let telemetry = world.net.telemetry().clone();
         let tracer = TraceHandle::for_mode(campaign.trace, campaign.options.seed);
         world.net.set_tracer(tracer.clone());
         let campaign_span =
@@ -243,6 +251,11 @@ impl CampaignRun {
         &self.telemetry
     }
 
+    /// The world the campaign measures.
+    pub fn world(&self) -> &World {
+        &self.world
+    }
+
     /// The ISP vantage the given case measures through.
     pub fn case_isp(&self, case: usize) -> &str {
         &self.campaign.confirmations[case].isp
@@ -292,8 +305,24 @@ impl CampaignRun {
         self.confirmations.push(result);
     }
 
-    /// Stage 3: characterize every ISP where some product confirmed.
+    /// Stages 2a–2d for every case study not yet run, in spec order,
+    /// with each wait serviced by an inline clock advance.
+    pub fn confirm_remaining(&mut self) {
+        for i in self.confirmations.len()..self.case_count() {
+            self.baseline(i);
+            self.submit();
+            let deadline = self.announce_wait();
+            self.advance_to(deadline);
+            self.retest();
+        }
+    }
+
+    /// Stage 3: characterize every ISP where some product confirmed
+    /// (nothing when `characterize_runs` is zero).
     pub fn characterize_confirmed(&mut self) {
+        if self.campaign.characterize_runs == 0 {
+            return;
+        }
         let mut confirmed_isps: Vec<(String, ProductKind)> = Vec::new();
         for r in &self.confirmations {
             if r.confirmed && !confirmed_isps.iter().any(|(isp, _)| *isp == r.spec.isp) {

@@ -6,7 +6,7 @@
 //! the appropriate URL filter vendor. After 3-5 days, we retest the
 //! sites and observe whether or not the submitted sites are blocked."
 
-use filterwatch_measure::{MeasurementClient, MeasurementQuality};
+use filterwatch_measure::{MeasurementClient, MeasurementQuality, UrlVerdict};
 use filterwatch_products::{ProductKind, SubmitterProfile};
 
 use crate::report::TextTable;
@@ -68,6 +68,9 @@ pub struct CaseStudyResult {
     /// Measurement-quality counters the case study's client accumulated
     /// (retries, breaker trips, quorum trials).
     pub quality: MeasurementQuality,
+    /// One retest verdict per site, submitted sites first, in creation
+    /// order: the run that blocked the site, else the last run.
+    pub retest_verdicts: Vec<UrlVerdict>,
     /// The §4.2 verdict: is the product confirmed to be used for
     /// censorship in this ISP?
     pub confirmed: bool,
@@ -91,7 +94,7 @@ impl CaseStudyResult {
 /// [`retest_case`] carry it through the submit → wait → retest
 /// protocol. [`run_case_study`] is the thin linear composition; the
 /// orchestrator drives the same functions with the wait serviced by a
-/// timer wheel instead of an inline clock advance, and a checkpoint
+/// timer queue instead of an inline clock advance, and a checkpoint
 /// written at every boundary.
 pub struct CaseInProgress {
     /// The spec being executed.
@@ -230,7 +233,7 @@ pub fn submit_case(world: &mut World, case: &mut CaseInProgress) {
 /// Wait stage, announce half: record the wait in the trace and return
 /// the absolute virtual-clock deadline (in seconds) at which the retest
 /// may begin. The caller owns the clock advance — inline for the linear
-/// driver, a timer-wheel wakeup for the orchestrator — so both reach
+/// driver, a timer-queue wakeup for the orchestrator — so both reach
 /// the deadline by the same arithmetic.
 pub fn announce_wait(world: &World, case: &CaseInProgress) -> u64 {
     let tracer = world.net.tracer().clone();
@@ -274,14 +277,13 @@ pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
         filterwatch_trace::ScopeId::NONE
     };
     // Retest: a site is blocked if any retest run blocks it.
-    let mut blocked = vec![false; sites.len()];
+    let mut retest_verdicts: Vec<UrlVerdict> = Vec::with_capacity(sites.len());
     let mut attributed: Vec<String> = Vec::new();
     let mut retest_inconclusive = 0;
-    for _ in 0..spec.retest_runs.max(1) {
+    for run in 0..spec.retest_runs.max(1) {
         for (i, site) in sites.iter().enumerate() {
             let v = client.test_url(&world.net, &site.test_url());
             if v.verdict.is_blocked() {
-                blocked[i] = true;
                 if let Some(p) = v.verdict.blocked_by() {
                     if !attributed.contains(&p.to_string()) {
                         attributed.push(p.to_string());
@@ -290,18 +292,23 @@ pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
             } else if v.verdict.is_inconclusive() {
                 retest_inconclusive += 1;
             }
+            if run == 0 {
+                retest_verdicts.push(v);
+            } else if !retest_verdicts[i].verdict.is_blocked() {
+                retest_verdicts[i] = v;
+            }
         }
     }
-    let submitted_blocked = blocked[..spec.n_submit].iter().filter(|&&b| b).count();
-    let holdout_blocked = blocked[spec.n_submit..].iter().filter(|&&b| b).count();
+    let blocked = |vs: &[UrlVerdict]| vs.iter().filter(|v| v.verdict.is_blocked()).count();
+    let submitted_blocked = blocked(&retest_verdicts[..spec.n_submit]);
+    let holdout_blocked = blocked(&retest_verdicts[spec.n_submit..]);
 
     // Ethics note (§4.6): the simulated adult-image sites only ever host
     // placeholder markers, and the test URL is the benign object, so
     // there is nothing to take down; domains are never reused (the forge
     // remembers every mint).
 
-    // Confirmation: the majority of submitted sites became blocked.
-    let confirmed = submitted_blocked * 2 > spec.n_submit;
+    let confirmed = submitted_majority(submitted_blocked, spec.n_submit);
 
     telemetry.gauge_set("confirm.queue_depth", spec.product.slug(), 0);
     telemetry.event(
@@ -349,8 +356,15 @@ pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
         attributed_products: attributed,
         retest_inconclusive,
         quality: client.quality(),
+        retest_verdicts,
         confirmed,
     }
+}
+
+/// The §4.2 confirmation rule: the majority of the submitted sites
+/// became blocked.
+pub fn submitted_majority(submitted_blocked: usize, n_submit: usize) -> bool {
+    submitted_blocked * 2 > n_submit
 }
 
 /// Run one case study against the world, advancing its virtual clock:

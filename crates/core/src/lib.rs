@@ -62,4 +62,4 @@ pub mod report;
 pub mod world;
 
 pub use campaign::{Campaign, CampaignReport};
-pub use world::{World, WorldOptions, DEFAULT_SEED};
+pub use world::{ControlledSite, SiteKind, World, WorldOptions, DEFAULT_SEED};

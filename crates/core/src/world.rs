@@ -127,6 +127,9 @@ impl ControlledSite {
     }
 }
 
+/// One vendor cloud per product, shared by every box of that product.
+pub type VendorClouds = BTreeMap<ProductKind, Arc<VendorCloud>>;
+
 /// The built world. See the module docs.
 pub struct World {
     /// The simulated Internet.
@@ -138,7 +141,7 @@ pub struct World {
     /// pinned-seed experiments behave exactly as single-shot fetches;
     /// chaos campaigns switch it to `ResilienceConfig::chaos()`.
     pub resilience: ResilienceConfig,
-    clouds: BTreeMap<ProductKind, Arc<VendorCloud>>,
+    clouds: VendorClouds,
     lab: VantageId,
     fields: BTreeMap<String, VantageId>,
     hosting: NetworkId,
@@ -218,24 +221,7 @@ impl World {
     /// scalability studies — §7 names scalability as the methodology's
     /// open challenge, and the scan/identify benches sweep this.
     pub fn synthetic(seed: u64, n_networks: usize) -> World {
-        let mut net = Internet::new(seed);
-        for &(code, name, tld) in COUNTRIES {
-            net.registry_mut().register_country(code, name, tld);
-        }
-        let mut clouds = BTreeMap::new();
-        for product in ProductKind::ALL {
-            clouds.insert(product, Arc::new(VendorCloud::new(product, seed)));
-        }
-        let lab_net = {
-            let asn = net.registry_mut().register_as(239, "UTORONTO", "CA");
-            let p = net.registry_mut().allocate_prefix(asn, 1).expect("prefix");
-            net.add_network(NetworkSpec::new("toronto-lab", asn, "CA").with_cidr(p))
-        };
-        let hosting = {
-            let asn = net.registry_mut().register_as(16509, "POPULAR-CLOUD", "US");
-            let p = net.registry_mut().allocate_prefix(asn, 1).expect("prefix");
-            net.add_network(NetworkSpec::new("cloudhost", asn, "US").with_cidr(p))
-        };
+        let (mut net, clouds, lab_net, hosting) = infrastructure(seed, 1).expect("prefixes");
         let options = WorldOptions {
             seed,
             ..WorldOptions::default()
@@ -252,8 +238,28 @@ impl World {
             add_console(&mut net, isp, &name, tld, product, false);
         }
         let lab = net.add_vantage("toronto-lab", lab_net);
-        let mut fields = BTreeMap::new();
-        fields.insert("toronto-lab".to_string(), lab);
+        let fields = BTreeMap::from([("toronto-lab".to_string(), lab)]);
+        let forge = DomainForge::new(filterwatch_netsim::rng::mix(seed, "domain-forge"));
+        World::from_parts(net, options, clouds, lab, fields, hosting, forge)
+    }
+
+    /// Assemble a world from parts built elsewhere — the paper and
+    /// synthetic builders here, and generated worlds outside this
+    /// crate: the Internet, one vendor cloud per product, the lab
+    /// (control) vantage, field vantages keyed by ISP network name, the
+    /// hosting network controlled sites stand on, and the forge that
+    /// mints their domains. `options.fetch_path` is applied to `net`;
+    /// measurement clients start with passthrough resilience.
+    pub fn from_parts(
+        net: Internet,
+        options: WorldOptions,
+        clouds: VendorClouds,
+        lab: VantageId,
+        fields: BTreeMap<String, VantageId>,
+        hosting: NetworkId,
+        forge: DomainForge,
+    ) -> World {
+        net.set_fetch_path(options.fetch_path);
         World {
             net,
             options,
@@ -262,41 +268,21 @@ impl World {
             lab,
             fields,
             hosting,
-            forge: DomainForge::new(filterwatch_netsim::rng::mix(seed, "domain-forge")),
+            forge,
         }
     }
 
     /// Build the paper world with explicit options.
     pub fn build(options: WorldOptions) -> World {
         let seed = options.seed;
-        let mut net = Internet::new(seed);
-        net.set_fetch_path(options.fetch_path);
-
-        for &(code, name, tld) in COUNTRIES {
-            net.registry_mut().register_country(code, name, tld);
-        }
-
-        // Vendor clouds.
-        let mut clouds = BTreeMap::new();
-        for product in ProductKind::ALL {
-            let cloud = Arc::new(VendorCloud::new(product, seed));
-            if options.reject_flaggable_submissions {
+        let (mut net, clouds, lab_net, hosting) = infrastructure(seed, 4).expect("prefixes");
+        if options.reject_flaggable_submissions {
+            for cloud in clouds.values() {
                 cloud.set_reject_flaggable(true);
             }
-            clouds.insert(product, cloud);
         }
 
         // --- Infrastructure networks -------------------------------------
-        let lab_net = {
-            let asn = net.registry_mut().register_as(239, "UTORONTO", "CA");
-            let p = net.registry_mut().allocate_prefix(asn, 1).expect("prefix");
-            net.add_network(NetworkSpec::new("toronto-lab", asn, "CA").with_cidr(p))
-        };
-        let hosting = {
-            let asn = net.registry_mut().register_as(16509, "POPULAR-CLOUD", "US");
-            let p = net.registry_mut().allocate_prefix(asn, 4).expect("prefix");
-            net.add_network(NetworkSpec::new("cloudhost", asn, "US").with_cidr(p))
-        };
         let vendor_net = {
             let asn = net.registry_mut().register_as(13335, "VENDOR-NET", "US");
             let p = net.registry_mut().allocate_prefix(asn, 1).expect("prefix");
@@ -345,36 +331,15 @@ impl World {
         for cc in ["AE", "QA", "YE", "SA"] {
             lists.push(TestList::local(cc, options.list_urls_per_category));
         }
-        for list in &lists {
-            for test_url in &list.urls {
-                let url = Url::parse(&test_url.url).expect("list URL parses");
-                let ip = net.alloc_ip(content_net).expect("content ip");
-                net.add_host(ip, content_net, &[url.host()]);
-                net.add_service(
-                    ip,
-                    80,
-                    Box::new(StaticSite::new(
-                        test_url.category.name(),
-                        &format!(
-                            "<p>Reference content for the {} category.</p>",
-                            test_url.category.name()
-                        ),
-                    )),
-                );
-                // All vendors already know these long-standing sites.
-                let domain = url.registrable_domain();
-                for (product, cloud) in &clouds {
-                    cloud.register_site_profile(&domain, test_url.category);
-                    cloud.seed_categorization(
-                        &domain,
-                        taxonomy::vendor_category(*product, test_url.category),
-                    );
-                }
-            }
-        }
+        host_list_origins(&mut net, content_net, &lists, &clouds).expect("content space");
 
         // --- Censoring ISPs (Table 3) ------------------------------------
         let mut fields = BTreeMap::new();
+        let surface = |net: &mut Internet, isp, name: &str, tld: &str, product| {
+            let visible = console_visible(&options, name, product);
+            let strip = options.strip_branding;
+            add_deployment_surface(net, isp, name, tld, product, visible, strip);
+        };
 
         // Etisalat (AE, AS 5384): SmartFilter policy atop a Blue Coat
         // ProxySG used for traffic management only (§4.5 Challenge 3).
@@ -412,26 +377,8 @@ impl World {
                 sf
             };
             net.attach_middlebox(isp, Arc::new(sf));
-            if console_visible(&options, "etisalat", ProductKind::BlueCoat) {
-                add_console(
-                    &mut net,
-                    isp,
-                    "etisalat",
-                    "ae",
-                    ProductKind::BlueCoat,
-                    options.strip_branding,
-                );
-            }
-            if console_visible(&options, "etisalat", ProductKind::SmartFilter) {
-                add_console(
-                    &mut net,
-                    isp,
-                    "etisalat",
-                    "ae",
-                    ProductKind::SmartFilter,
-                    options.strip_branding,
-                );
-            }
+            surface(&mut net, isp, "etisalat", "ae", ProductKind::BlueCoat);
+            surface(&mut net, isp, "etisalat", "ae", ProductKind::SmartFilter);
             fields.insert(
                 "etisalat".to_string(),
                 net.add_vantage("etisalat-field", isp),
@@ -464,22 +411,7 @@ impl World {
                 ns
             };
             net.attach_middlebox(isp, Arc::new(ns));
-            // The deny host must exist even with hidden consoles (it
-            // serves in-network deny pages); "hidden" binds it so that
-            // outside probes cannot see it — modelled by simply not
-            // registering it in the scanned prefix when hidden.
-            if console_visible(&options, "du", ProductKind::Netsweeper) {
-                add_console(
-                    &mut net,
-                    isp,
-                    "du",
-                    "ae",
-                    ProductKind::Netsweeper,
-                    options.strip_branding,
-                );
-            } else {
-                add_hidden_deny_host(&mut net, isp, "du", "ae");
-            }
+            surface(&mut net, isp, "du", "ae", ProductKind::Netsweeper);
             fields.insert("du".to_string(), net.add_vantage("du-field", isp));
         }
 
@@ -518,28 +450,8 @@ impl World {
                 ns
             };
             net.attach_middlebox(isp, Arc::new(ns));
-            if console_visible(&options, "ooredoo", ProductKind::Netsweeper) {
-                add_console(
-                    &mut net,
-                    isp,
-                    "ooredoo",
-                    "qa",
-                    ProductKind::Netsweeper,
-                    options.strip_branding,
-                );
-            } else {
-                add_hidden_deny_host(&mut net, isp, "ooredoo", "qa");
-            }
-            if console_visible(&options, "ooredoo", ProductKind::BlueCoat) {
-                add_console(
-                    &mut net,
-                    isp,
-                    "ooredoo",
-                    "qa",
-                    ProductKind::BlueCoat,
-                    options.strip_branding,
-                );
-            }
+            surface(&mut net, isp, "ooredoo", "qa", ProductKind::Netsweeper);
+            surface(&mut net, isp, "ooredoo", "qa", ProductKind::BlueCoat);
             fields.insert("ooredoo".to_string(), net.add_vantage("ooredoo-field", isp));
         }
 
@@ -565,16 +477,7 @@ impl World {
                 sf
             };
             net.attach_middlebox(isp, Arc::new(sf));
-            if console_visible(&options, name, ProductKind::SmartFilter) {
-                add_console(
-                    &mut net,
-                    isp,
-                    name,
-                    "sa",
-                    ProductKind::SmartFilter,
-                    options.strip_branding,
-                );
-            }
+            surface(&mut net, isp, name, "sa", ProductKind::SmartFilter);
             fields.insert(
                 name.to_string(),
                 net.add_vantage(&format!("{name}-field"), isp),
@@ -626,18 +529,7 @@ impl World {
                 ns
             };
             net.attach_middlebox(isp, Arc::new(ns));
-            if console_visible(&options, "yemennet", ProductKind::Netsweeper) {
-                add_console(
-                    &mut net,
-                    isp,
-                    "yemennet",
-                    "ye",
-                    ProductKind::Netsweeper,
-                    options.strip_branding,
-                );
-            } else {
-                add_hidden_deny_host(&mut net, isp, "yemennet", "ye");
-            }
+            surface(&mut net, isp, "yemennet", "ye", ProductKind::Netsweeper);
             fields.insert(
                 "yemennet".to_string(),
                 net.add_vantage("yemennet-field", isp),
@@ -663,16 +555,8 @@ impl World {
         // control measurements can reuse the same APIs.
         fields.insert("toronto-lab".to_string(), lab);
 
-        World {
-            net,
-            options,
-            resilience: ResilienceConfig::default(),
-            clouds,
-            lab,
-            fields,
-            hosting,
-            forge: DomainForge::new(filterwatch_netsim::rng::mix(seed, "domain-forge")),
-        }
+        let forge = DomainForge::new(filterwatch_netsim::rng::mix(seed, "domain-forge"));
+        World::from_parts(net, options, clouds, lab, fields, hosting, forge)
     }
 
     /// Builder-style: set the resilience configuration subsequent
@@ -772,8 +656,90 @@ fn console_visible(options: &WorldOptions, network: &str, product: ProductKind) 
     draw < options.console_visibility
 }
 
-fn console_host_name(network: &str, tld: &str) -> String {
+/// The gateway host of a network's Netsweeper or Websense deployment:
+/// its console, and the target of its deny-page redirects.
+pub fn console_host_name(network: &str, tld: &str) -> String {
     format!("gw.{network}.{tld}")
+}
+
+/// What every paper-world builder starts from: an Internet with the
+/// country table registered, one vendor cloud per product, the Toronto
+/// lab network, and the popular-cloud hosting network of
+/// `hosting_blocks` /24s. `None` when the address space runs out.
+fn infrastructure(
+    seed: u64,
+    hosting_blocks: u32,
+) -> Option<(Internet, VendorClouds, NetworkId, NetworkId)> {
+    let mut net = Internet::new(seed);
+    for &(code, name, tld) in COUNTRIES {
+        net.registry_mut().register_country(code, name, tld);
+    }
+    let clouds = ProductKind::ALL
+        .into_iter()
+        .map(|product| (product, Arc::new(VendorCloud::new(product, seed))))
+        .collect();
+    let asn = net.registry_mut().register_as(239, "UTORONTO", "CA");
+    let p = net.registry_mut().allocate_prefix(asn, 1)?;
+    let lab_net = net.add_network(NetworkSpec::new("toronto-lab", asn, "CA").with_cidr(p));
+    let asn = net.registry_mut().register_as(16509, "POPULAR-CLOUD", "US");
+    let p = net.registry_mut().allocate_prefix(asn, hosting_blocks)?;
+    let hosting = net.add_network(NetworkSpec::new("cloudhost", asn, "US").with_cidr(p));
+    Some((net, clouds, lab_net, hosting))
+}
+
+/// Host every URL of `lists` on its own origin site in `network`,
+/// categorized in advance at every vendor: all vendors already know
+/// these long-standing sites. Public so worlds assembled outside this
+/// crate ([`World::from_parts`]) host the same origins. Fails when a
+/// URL does not parse or `network` runs out of addresses.
+pub fn host_list_origins(
+    net: &mut Internet,
+    network: NetworkId,
+    lists: &[TestList],
+    clouds: &VendorClouds,
+) -> Result<(), String> {
+    for test_url in lists.iter().flat_map(|list| &list.urls) {
+        let url = Url::parse(&test_url.url).map_err(|e| format!("{}: {e}", test_url.url))?;
+        let ip = net
+            .alloc_ip(network)
+            .ok_or_else(|| format!("no address left for {}", test_url.url))?;
+        net.add_host(ip, network, &[url.host()]);
+        let category = test_url.category;
+        let body = format!(
+            "<p>Reference content for the {} category.</p>",
+            category.name()
+        );
+        net.add_service(ip, 80, Box::new(StaticSite::new(category.name(), &body)));
+        let domain = url.registrable_domain();
+        for (product, cloud) in clouds {
+            cloud.register_site_profile(&domain, category);
+            cloud.seed_categorization(&domain, taxonomy::vendor_category(*product, category));
+        }
+    }
+    Ok(())
+}
+
+/// Stand up a censoring deployment's external surface: its console
+/// when `visible`. A hidden Netsweeper deployment still gets its deny
+/// host — in-network clients fetch deny pages from it — answering only
+/// the deny path, so outside probes learn nothing; hidden inline
+/// blockers have no external host at all. Public so worlds assembled
+/// outside this crate ([`World::from_parts`]) stand up the same
+/// surfaces.
+pub fn add_deployment_surface(
+    net: &mut Internet,
+    isp: NetworkId,
+    name: &str,
+    tld: &str,
+    product: ProductKind,
+    visible: bool,
+    strip_branding: bool,
+) {
+    if visible {
+        add_console(net, isp, name, tld, product, strip_branding);
+    } else if product == ProductKind::Netsweeper {
+        add_hidden_deny_host(net, isp, name, tld);
+    }
 }
 
 /// Add an externally visible product console/gateway host to a network.

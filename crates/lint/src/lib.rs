@@ -350,17 +350,17 @@ impl FlowDisposition {
 
     #[test]
     fn sim_time_wall_feeds_queue() {
-        let bad = "fn requeue(q: &TimerWheel, started: Instant) {\n\
+        let bad = "fn requeue(q: &EventQueue, started: Instant) {\n\
                    q.schedule(started.elapsed().as_secs());\n}\n";
         let diags = lint_src(bad);
         assert!(diags
             .iter()
             .any(|d| d.rule == "t1-sim-time" && d.kind == "wall-feeds-queue"));
         // Virtual-clock-derived durations: clean.
-        let ok = "fn requeue(q: &TimerWheel, wait: u64) { q.schedule(wait); }\n";
+        let ok = "fn requeue(q: &EventQueue, wait: u64) { q.schedule(wait); }\n";
         assert!(lint_src(ok).iter().all(|d| d.rule != "t1-sim-time"));
         // Suppressible like every rule.
-        let sup = "fn requeue(q: &TimerWheel, started: Instant) {\n\
+        let sup = "fn requeue(q: &EventQueue, started: Instant) {\n\
                    // filterwatch-lint: allow(t1-sim-time): shim-only code path\n\
                    q.schedule(started.elapsed().as_secs());\n}\n";
         assert!(lint_src(sup).iter().all(|d| d.rule != "t1-sim-time"));

@@ -217,14 +217,10 @@ impl Config {
                 .into_iter()
                 .map(|(t, f)| (t.to_string(), f.to_string()))
                 .collect(),
-            sim_time_sanctioned: [
-                "crates/netsim/src/time.rs",
-                "crates/netsim/src/kernel.rs",
-                "crates/netsim/src/timer.rs",
-            ]
-            .into_iter()
-            .map(String::from)
-            .collect(),
+            sim_time_sanctioned: ["crates/netsim/src/time.rs", "crates/netsim/src/kernel.rs"]
+                .into_iter()
+                .map(String::from)
+                .collect(),
             enum_closures: vec![
                 EnumClosure {
                     enum_name: "EventKind".into(),

@@ -185,6 +185,33 @@ mod tests {
     }
 
     #[test]
+    fn pop_due_matches_sorted_reference_model() {
+        // Deterministic pseudo-random schedule, drained in uneven
+        // steps, against a BTreeMap keyed by (deadline, insertion).
+        let mut q = EventQueue::new();
+        let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        let mut state = 0x9e3779b97f4a7c15u64;
+        for i in 0..500u64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let at = (state >> 33) % 1_000_000;
+            q.schedule(SimTime::from_secs(at), i);
+            model.insert((at, i), i);
+        }
+        let mut now = 0;
+        for step in [1_000u64, 50_000, 50_000, 400_000, 2_000_000] {
+            now += step;
+            let fired = q.pop_due(SimTime::from_secs(now));
+            let keys: Vec<(u64, u64)> = model.range(..=(now, u64::MAX)).map(|(k, _)| *k).collect();
+            let expect: Vec<u64> = keys.iter().filter_map(|k| model.remove(k)).collect();
+            assert_eq!(fired, expect, "now={now}");
+        }
+        assert!(q.is_empty());
+        assert!(model.is_empty());
+    }
+
+    #[test]
     fn ids_are_never_reused() {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::ZERO, ());

@@ -67,7 +67,6 @@ pub mod registry;
 pub mod rng;
 pub mod service;
 pub mod time;
-pub mod timer;
 pub mod vantage;
 
 pub use dns::Dns;
@@ -82,5 +81,4 @@ pub use outcome::FetchOutcome;
 pub use registry::{Asn, CountryCode, Registry};
 pub use service::{Service, ServiceCtx};
 pub use time::SimTime;
-pub use timer::TimerWheel;
 pub use vantage::{Vantage, VantageId};

@@ -2,17 +2,17 @@
 //!
 //! A [`StageDriver`] owns one campaign's world and knows how to execute
 //! each [`StageState`]; the orchestrator owns the transitions, the
-//! timer wheel and the checkpoints. [`PaperDriver`] adapts the core
-//! crate's [`CampaignRun`] (the paper's standard/demo campaigns);
-//! the testkit provides its own driver over generated worlds; and
-//! [`StallingDriver`] wraps any driver with deterministic stall
-//! injection so the watchdog path is testable without a genuinely
-//! wedged vantage.
+//! timer queue and the checkpoints. [`PaperDriver`] adapts the core
+//! crate's [`CampaignRun`] — the one driver type for paper campaigns
+//! and, through [`PaperDriver::from_run`], for campaigns on worlds
+//! built elsewhere (the testkit's generated worlds). Decorators add
+//! behaviour around it as [`StageHook`]s on one [`Decorated`] driver:
+//! [`StallingDriver`] injects deterministic stalls so the watchdog path
+//! is testable without a genuinely wedged vantage.
 
 use filterwatch_core::campaign::{Campaign, CampaignReport, CampaignRun};
-use filterwatch_measure::ResilienceConfig;
 use filterwatch_telemetry::SpanId;
-use filterwatch_trace::{StepKind, TraceMode};
+use filterwatch_trace::StepKind;
 
 use crate::checkpoint::CaseCkpt;
 use crate::stage::{CampaignDescriptor, CampaignKind, StageState};
@@ -43,7 +43,7 @@ pub trait StageDriver {
     fn now_secs(&self) -> u64;
 
     /// Execute one stage. `Wait` and `Done` are never passed here —
-    /// the scheduler services waits from the timer wheel.
+    /// the scheduler services waits from its timer queue.
     fn execute(&mut self, stage: &StageState) -> StepOutcome;
 
     /// Announce the wait after `case`'s submission and return the
@@ -67,12 +67,12 @@ pub trait StageDriver {
     /// will continue from `stage`.
     fn on_resume(&mut self, _stage: &StageState) {}
 
-    /// Observer hook: the timer wheel fired `case`'s wait deadline.
+    /// Observer hook: the timer queue fired `case`'s wait deadline.
     fn on_timer_fire(&mut self, _case: usize, _deadline_secs: u64) {}
 }
 
-/// [`StageDriver`] over the core crate's [`CampaignRun`]: the paper's
-/// standard and demo campaigns, rebuilt from a descriptor.
+/// [`StageDriver`] over the core crate's [`CampaignRun`]: every stage
+/// maps onto one `CampaignRun` method.
 pub struct PaperDriver {
     descriptor: CampaignDescriptor,
     run: CampaignRun,
@@ -80,30 +80,32 @@ pub struct PaperDriver {
 }
 
 impl PaperDriver {
-    /// Rebuild the descriptor's campaign and open its scopes. Fails on
-    /// [`CampaignKind::Generated`] — those descriptors belong to the
-    /// testkit's driver factory.
+    /// Rebuild the descriptor's paper campaign and begin it. Fails on
+    /// [`CampaignKind::Generated`] — the testkit owns the world
+    /// generator those descriptors name, and drives them through
+    /// [`PaperDriver::from_run`].
     pub fn new(descriptor: CampaignDescriptor) -> Result<PaperDriver, String> {
-        let mut campaign = match descriptor.kind {
+        let campaign = match descriptor.kind {
             CampaignKind::Standard => Campaign::standard(descriptor.seed),
             CampaignKind::Demo => Campaign::demo(descriptor.seed),
             CampaignKind::Generated => {
-                return Err(
-                    "generated campaigns are built by the testkit driver factory".to_string(),
-                )
+                return Err("generated campaigns run on testkit-built worlds: use \
+                     filterwatch-testkit's run_generated_campaign / resume_generated_campaign"
+                    .to_string())
             }
         };
-        if descriptor.chaos {
-            campaign = campaign.with_resilience(ResilienceConfig::chaos());
-        }
-        if descriptor.trace {
-            campaign = campaign.with_trace(TraceMode::Full);
-        }
-        Ok(PaperDriver {
+        let run = CampaignRun::begin(descriptor.configure(campaign));
+        Ok(PaperDriver::from_run(descriptor, run))
+    }
+
+    /// Drive an already-begun campaign; `descriptor` must rebuild it,
+    /// since checkpoints carry nothing else.
+    pub fn from_run(descriptor: CampaignDescriptor, run: CampaignRun) -> PaperDriver {
+        PaperDriver {
             descriptor,
-            run: CampaignRun::begin(campaign),
+            run,
             wait_span: SpanId::NONE,
-        })
+        }
     }
 
     /// Finish the campaign and assemble its report. Call only once the
@@ -243,31 +245,50 @@ impl StallPlan {
     }
 }
 
-/// A [`StageDriver`] wrapper that injects the stalls a [`StallPlan`]
-/// prescribes, delegating everything else to the inner driver.
-pub struct StallingDriver<D> {
-    inner: D,
+/// What a [`Decorated`] driver does at each stage: run the inner
+/// driver's stage, hold it back, or add work around it.
+pub trait StageHook<D> {
+    /// Execute `stage`, on `inner` or not.
+    fn execute(&mut self, inner: &mut D, stage: &StageState) -> StepOutcome;
+}
+
+/// A [`StageDriver`] decorator: stage execution goes through `hook`,
+/// everything else is `inner`'s.
+pub struct Decorated<D, H> {
+    /// The decorated driver.
+    pub inner: D,
+    /// The behaviour added at each stage.
+    pub hook: H,
+}
+
+/// The [`StageHook`] injecting a [`StallPlan`]'s stalls.
+pub struct Stalls {
     plan: StallPlan,
     stalled: u64,
 }
 
-impl<D: StageDriver> StallingDriver<D> {
-    /// Wrap `inner` with the plan's stalls.
-    pub fn new(inner: D, plan: StallPlan) -> StallingDriver<D> {
-        StallingDriver {
-            inner,
-            plan,
-            stalled: 0,
+impl<D: StageDriver> StageHook<D> for Stalls {
+    fn execute(&mut self, inner: &mut D, stage: &StageState) -> StepOutcome {
+        if self.plan.stage.same_boundary(stage) && self.stalled < self.plan.stalls {
+            self.stalled += 1;
+            return StepOutcome::Stalled;
         }
-    }
-
-    /// Unwrap the inner driver.
-    pub fn into_inner(self) -> D {
-        self.inner
+        inner.execute(stage)
     }
 }
 
-impl<D: StageDriver> StageDriver for StallingDriver<D> {
+/// A driver that injects the stalls a [`StallPlan`] prescribes.
+pub type StallingDriver<D> = Decorated<D, Stalls>;
+
+impl<D> StallingDriver<D> {
+    /// Wrap `inner` with the plan's stalls.
+    pub fn new(inner: D, plan: StallPlan) -> StallingDriver<D> {
+        let hook = Stalls { plan, stalled: 0 };
+        Decorated { inner, hook }
+    }
+}
+
+impl<D: StageDriver, H: StageHook<D>> StageDriver for Decorated<D, H> {
     fn descriptor(&self) -> &CampaignDescriptor {
         self.inner.descriptor()
     }
@@ -285,11 +306,7 @@ impl<D: StageDriver> StageDriver for StallingDriver<D> {
     }
 
     fn execute(&mut self, stage: &StageState) -> StepOutcome {
-        if self.plan.stage.same_boundary(stage) && self.stalled < self.plan.stalls {
-            self.stalled += 1;
-            return StepOutcome::Stalled;
-        }
-        self.inner.execute(stage)
+        self.hook.execute(&mut self.inner, stage)
     }
 
     fn wait_deadline_secs(&mut self, case: usize) -> u64 {

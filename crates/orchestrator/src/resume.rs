@@ -92,7 +92,7 @@ pub fn replay<D: StageDriver>(
             match stage {
                 StageState::Wait { case, .. } => {
                     // Mid-replay wait: announce, then advance inline —
-                    // the same arithmetic the timer wheel performs.
+                    // the same arithmetic the timer queue performs.
                     let deadline = driver.wait_deadline_secs(case);
                     driver.advance_to_secs(deadline);
                     driver.on_timer_fire(case, deadline);

@@ -3,9 +3,9 @@
 //! Many campaigns, one loop: each scheduler *round* visits every
 //! runnable campaign in id order and executes at most one stage per
 //! campaign, subject to per-vantage rate limits. A campaign whose
-//! submission enters the vendor review period parks on a
-//! [`TimerWheel`] keyed by its absolute virtual-clock deadline; when a
-//! round finds nothing executable, the wheel fires the earliest
+//! submission enters the vendor review period parks on the event
+//! core's [`EventQueue`] keyed by its absolute virtual-clock deadline;
+//! when a round finds nothing executable, the queue fires the earliest
 //! deadlines and the woken campaigns advance their own world clocks to
 //! the fired deadline. Every stage transition writes a checkpoint
 //! line; [`CrashPlan`] stops the scheduler right after a chosen
@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use filterwatch_measure::{BreakerConfig, BreakerState, CircuitBreaker};
-use filterwatch_netsim::{SimTime, TimerWheel};
+use filterwatch_netsim::{EventQueue, SimTime};
 
 use crate::checkpoint::CampaignCheckpoint;
 use crate::driver::{StageDriver, StepOutcome};
@@ -97,7 +97,7 @@ struct Slot<D> {
     driver: D,
     stage: StageState,
     status: CampaignStatus,
-    /// Whether the current `Wait` stage is already on the wheel.
+    /// Whether the current `Wait` stage is already on the timer queue.
     parked: bool,
     breaker: CircuitBreaker,
     checkpoints: Vec<String>,
@@ -106,7 +106,8 @@ struct Slot<D> {
 /// The scheduler over a fleet of campaign drivers.
 pub struct Orchestrator<D> {
     slots: Vec<Slot<D>>,
-    wheel: TimerWheel<usize>,
+    /// Parked `Wait` deadlines, keyed by campaign id.
+    timers: EventQueue<usize>,
     crash: CrashPlan,
     watchdog: WatchdogConfig,
     /// Max stage executions per vantage per round (`None` = unlimited).
@@ -148,7 +149,7 @@ impl<D: StageDriver> Orchestrator<D> {
             .collect();
         Orchestrator {
             slots,
-            wheel: TimerWheel::new(),
+            timers: EventQueue::new(),
             crash: CrashPlan::none(),
             watchdog,
             rate_limit: None,
@@ -228,7 +229,7 @@ impl<D: StageDriver> Orchestrator<D> {
                 match stage {
                     StageState::Wait { deadline_secs, .. } => {
                         if !self.slots[id].parked {
-                            self.wheel.schedule(SimTime::from_secs(deadline_secs), id);
+                            self.timers.schedule(SimTime::from_secs(deadline_secs), id);
                             self.slots[id].parked = true;
                         }
                         continue;
@@ -286,12 +287,12 @@ impl<D: StageDriver> Orchestrator<D> {
         }
     }
 
-    /// Fire the earliest deadline(s) on the wheel, advancing the woken
+    /// Fire the earliest parked deadline(s), advancing the woken
     /// campaigns' clocks. Returns a crash outcome if a checkpoint
     /// tripped the plan.
     fn fire_timers(&mut self) -> Option<Outcome> {
-        let deadline = self.wheel.next_deadline()?;
-        for id in self.wheel.pop_due(deadline) {
+        let deadline = self.timers.next_deadline()?;
+        for id in self.timers.pop_due(deadline) {
             // A quarantined campaign may still have a timer in flight;
             // its wake is dropped.
             if self.slots[id].status != CampaignStatus::Running {

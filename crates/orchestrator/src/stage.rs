@@ -9,6 +9,10 @@
 //! `to_line`/`parse_line` wire discipline and are registered as
 //! w1 wire pairs in `filterwatch-lint`.
 
+use filterwatch_core::campaign::Campaign;
+use filterwatch_measure::ResilienceConfig;
+use filterwatch_trace::TraceMode;
+
 /// Which campaign a descriptor rebuilds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CampaignKind {
@@ -82,6 +86,18 @@ impl CampaignDescriptor {
         self
     }
 
+    /// Apply the chaos and trace toggles to the campaign this
+    /// descriptor names.
+    pub fn configure(&self, mut campaign: Campaign) -> Campaign {
+        if self.chaos {
+            campaign = campaign.with_resilience(ResilienceConfig::chaos());
+        }
+        if self.trace {
+            campaign = campaign.with_trace(TraceMode::Full);
+        }
+        campaign
+    }
+
     /// Stable one-line rendering: `kind:seed` plus optional `:chaos`
     /// and `:trace` flags.
     pub fn to_line(&self) -> String {
@@ -118,7 +134,7 @@ impl CampaignDescriptor {
 
 /// Where a campaign stands in the methodology. The per-case stages
 /// carry the case-study cursor; `Wait` additionally carries the
-/// absolute virtual-clock deadline the timer wheel fires at.
+/// absolute virtual-clock deadline the timer queue fires at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StageState {
     /// Stage 1: identify installations across the simulated Internet.

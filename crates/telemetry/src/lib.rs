@@ -66,7 +66,7 @@ pub mod stage {
     pub const CHARACTERIZE: &str = "characterize";
     /// An end-to-end campaign run.
     pub const CAMPAIGN: &str = "campaign";
-    /// A campaign parked on the orchestrator's timer wheel between
+    /// A campaign parked on the orchestrator's timer queue between
     /// submit and retest (spans the virtual wait).
     pub const SCHED_WAIT: &str = "sched.wait";
     /// Orchestrator supervision: checkpoint writes, restores, timer

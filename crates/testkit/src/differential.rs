@@ -9,13 +9,14 @@
 //! candidates to the smallest scenario still reproducing the
 //! divergence, which is what gets reported.
 
-use filterwatch_core::identify::IdentifyPipeline;
-use filterwatch_scanner::{keywords, ScanEngine, ScanIndex};
-
+use filterwatch_core::World;
 use filterwatch_netsim::FetchPath;
+use filterwatch_scanner::{keywords, ScanIndex};
+use filterwatch_telemetry::TelemetryHandle;
 
+use crate::invariants::{installations, scanned_world};
 use crate::plan::{FaultPlan, ScenarioPlan};
-use crate::runner::{run_campaign_forensic, run_campaign_with, RunConfig};
+use crate::runner::{campaign_for, run_campaign_forensic, run_campaign_with};
 use crate::strategies::plan_for_seed;
 use crate::worldgen::build_world;
 
@@ -57,16 +58,20 @@ fn diff_or_ok(name: &str, a: &str, b: &str) -> Result<(), String> {
     }
 }
 
-/// Serial and parallel keyword sweeps must produce identical hits.
-pub fn check_serial_vs_parallel(plan: &ScenarioPlan) -> Result<(), String> {
-    let gw = build_world(plan);
-    let index = ScanEngine::new().scan(&gw.net);
-    let pairs: Vec<(String, String)> = gw
+/// Every registered (country, ccTLD) pair: the keyword-search scope.
+fn country_scope(world: &World) -> Vec<(String, String)> {
+    world
         .net
         .registry()
         .countries()
         .map(|c| (c.code.as_str().to_string(), c.cctld.clone()))
-        .collect();
+        .collect()
+}
+
+/// Serial and parallel keyword sweeps must produce identical hits.
+pub fn check_serial_vs_parallel(plan: &ScenarioPlan) -> Result<(), String> {
+    let (world, index) = scanned_world(plan);
+    let pairs = country_scope(&world);
     let scope = || pairs.iter().map(|(cc, tld)| (cc.as_str(), tld.as_str()));
     let serial = index.search_products_with_threads(keywords::KEYWORD_TABLE, scope(), 1);
     let parallel = index.search_products_with_threads(keywords::KEYWORD_TABLE, scope(), 8);
@@ -79,11 +84,11 @@ pub fn check_serial_vs_parallel(plan: &ScenarioPlan) -> Result<(), String> {
 
 /// Attaching a telemetry collector must not change any verdict.
 pub fn check_telemetry_transparency(plan: &ScenarioPlan) -> Result<(), String> {
-    let mut config = RunConfig::for_plan(plan);
-    config.telemetry = false;
-    let silent = run_campaign_with(plan, &config).comparable_text();
-    config.telemetry = true;
-    let observed = run_campaign_with(plan, &config).comparable_text();
+    let campaign = campaign_for(plan);
+    let silent = run_campaign_with(plan, campaign.clone(), build_world(plan)).comparable_text();
+    let mut world = build_world(plan);
+    world.net.set_telemetry(TelemetryHandle::enabled());
+    let observed = run_campaign_with(plan, campaign, world).comparable_text();
     diff_or_ok("telemetry off vs on", &silent, &observed)
 }
 
@@ -92,28 +97,17 @@ pub fn check_telemetry_transparency(plan: &ScenarioPlan) -> Result<(), String> {
 /// every record: same identify installations table, same batched
 /// product hits.
 pub fn check_delta_vs_rebuild(plan: &ScenarioPlan) -> Result<(), String> {
-    let gw = build_world(plan);
-    let scratch = ScanEngine::new().scan(&gw.net);
+    let (world, scratch) = scanned_world(plan);
     let records = scratch.records().to_vec();
     let split = records.len() / 2;
     let mut delta = ScanIndex::build(records[..split].to_vec());
     delta.apply_delta(records[split..].to_vec(), &[]);
 
-    let pipeline = IdentifyPipeline::new();
-    let a = pipeline
-        .run_on_index(&gw.net, &scratch)
-        .render_installations();
-    let b = pipeline
-        .run_on_index(&gw.net, &delta)
-        .render_installations();
+    let a = installations(&world, &scratch);
+    let b = installations(&world, &delta);
     diff_or_ok("scratch vs delta-built installations", &a, &b)?;
 
-    let pairs: Vec<(String, String)> = gw
-        .net
-        .registry()
-        .countries()
-        .map(|c| (c.code.as_str().to_string(), c.cctld.clone()))
-        .collect();
+    let pairs = country_scope(&world);
     let scope = || pairs.iter().map(|(cc, tld)| (cc.as_str(), tld.as_str()));
     let sa = scratch.search_products(keywords::KEYWORD_TABLE, scope());
     let sb = delta.search_products(keywords::KEYWORD_TABLE, scope());
@@ -128,11 +122,11 @@ pub fn check_delta_vs_rebuild(plan: &ScenarioPlan) -> Result<(), String> {
 /// observation surface — report, flow log, and trace forest — byte for
 /// byte.
 pub fn check_direct_vs_event(plan: &ScenarioPlan) -> Result<(), String> {
-    let mut config = RunConfig::for_plan(plan);
-    config.fetch_path = FetchPath::Event;
-    let event = run_campaign_forensic(plan, &config);
-    config.fetch_path = FetchPath::DirectReference;
-    let direct = run_campaign_forensic(plan, &config);
+    let mut campaign = campaign_for(plan);
+    campaign.options.fetch_path = FetchPath::Event;
+    let event = run_campaign_forensic(plan, campaign.clone());
+    campaign.options.fetch_path = FetchPath::DirectReference;
+    let direct = run_campaign_forensic(plan, campaign);
     diff_or_ok(
         "event vs direct report",
         &event.report.stable_text(),
@@ -158,9 +152,10 @@ pub fn check_zero_rate_faults(plan: &ScenarioPlan) -> Result<(), String> {
     zero.fault = FaultPlan::Lossy { drop_prob: 0.0 };
     // Same resilience on both sides: the profile under test is the
     // fault injection, not the retry machinery.
-    let config = RunConfig::for_plan(&clean);
-    let a = run_campaign_with(&clean, &config).comparable_text();
-    let b = run_campaign_with(&zero, &config).comparable_text();
+    let campaign = campaign_for(&clean);
+    let a = run_campaign_with(&clean, campaign.clone(), build_world(&clean));
+    let b = run_campaign_with(&zero, campaign, build_world(&zero));
+    let (a, b) = (a.comparable_text(), b.comparable_text());
     diff_or_ok("clean vs zero-rate faults", &a, &b)
 }
 
@@ -236,12 +231,17 @@ pub fn run(seeds: &[u64]) -> Vec<Divergence> {
 /// comma-separated list, or the given default.
 pub fn seeds_from_env(default: &[u64]) -> Vec<u64> {
     match std::env::var("FILTERWATCH_SEEDS") {
-        Ok(raw) => raw
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .collect(),
+        Ok(raw) => parse_seeds(&raw),
         Err(_) => default.to_vec(),
     }
+}
+
+/// A comma-separated seed list; entries that are not integers are
+/// skipped.
+fn parse_seeds(raw: &str) -> Vec<u64> {
+    raw.split(',')
+        .filter_map(|s| s.trim().parse().ok())
+        .collect()
 }
 
 #[cfg(test)]
@@ -280,7 +280,12 @@ mod tests {
 
     #[test]
     fn seeds_env_parsing() {
-        // No env set in tests: default flows through.
-        assert_eq!(seeds_from_env(&[1, 2]), vec![1, 2]);
+        assert_eq!(parse_seeds("0, 1,x,19"), vec![0, 1, 19]);
+        // Without the variable the default flows through; with it (the
+        // CI seed matrix sets it) the variable wins.
+        match std::env::var("FILTERWATCH_SEEDS") {
+            Ok(raw) => assert_eq!(seeds_from_env(&[1, 2]), parse_seeds(&raw)),
+            Err(_) => assert_eq!(seeds_from_env(&[1, 2]), vec![1, 2]),
+        }
     }
 }

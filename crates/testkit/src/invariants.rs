@@ -20,11 +20,14 @@
 //!    byte-identical (sharding is a layout choice, never a semantic
 //!    one).
 
+use filterwatch_core::confirm::submitted_majority;
 use filterwatch_core::identify::IdentifyPipeline;
+use filterwatch_core::World;
+use filterwatch_measure::ResilienceConfig;
 use filterwatch_scanner::{ScanEngine, ScanIndex, ShardConfig};
 
 use crate::plan::{FaultPlan, ScenarioPlan};
-use crate::runner::{run_campaign, run_campaign_with, RunConfig};
+use crate::runner::{campaign_for, retest_lines, run_campaign, run_campaign_with, GeneratedReport};
 use crate::strategies::plan_for_seed;
 use crate::worldgen::build_world;
 
@@ -73,19 +76,26 @@ pub fn first_diff(a: &str, b: &str) -> String {
     )
 }
 
+/// A plan's world and its scan index.
+pub(crate) fn scanned_world(plan: &ScenarioPlan) -> (World, ScanIndex) {
+    let world = build_world(plan);
+    let index = ScanEngine::new().scan(&world.net);
+    (world, index)
+}
+
+/// The identify installations table of `world` over `index`.
+pub(crate) fn installations(world: &World, index: &ScanIndex) -> String {
+    IdentifyPipeline::new()
+        .run_on_index(&world.net, index)
+        .render_installations()
+}
+
 /// Invariant 1: identify tables are independent of scan-record order.
 pub fn check_permutation_invariance(plan: &ScenarioPlan) -> Result<(), Violation> {
-    let gw = build_world(plan);
-    let index = ScanEngine::new().scan(&gw.net);
-    let pipeline = IdentifyPipeline::new();
-    let base = pipeline
-        .run_on_index(&gw.net, &index)
-        .render_installations();
+    let (world, index) = scanned_world(plan);
+    let base = installations(&world, &index);
     for shuffle_seed in [1u64, 0xfeed] {
-        let shuffled = index.shuffled(shuffle_seed);
-        let permuted = pipeline
-            .run_on_index(&gw.net, &shuffled)
-            .render_installations();
+        let permuted = installations(&world, &index.shuffled(shuffle_seed));
         if permuted != base {
             return Err(violation(
                 "permutation-invariance",
@@ -104,17 +114,11 @@ pub fn check_permutation_invariance(plan: &ScenarioPlan) -> Result<(), Violation
 /// is sharded — a single flat shard and a wide partitioning must
 /// render the same installations, byte for byte.
 pub fn check_shard_invariance(plan: &ScenarioPlan) -> Result<(), Violation> {
-    let gw = build_world(plan);
-    let index = ScanEngine::new().scan(&gw.net);
-    let pipeline = IdentifyPipeline::new();
-    let base = pipeline
-        .run_on_index(&gw.net, &index)
-        .render_installations();
+    let (world, index) = scanned_world(plan);
+    let base = installations(&world, &index);
     for shards in [1usize, 3, 16] {
         let repartitioned = ScanIndex::build_with(index.records().to_vec(), ShardConfig { shards });
-        let rendered = pipeline
-            .run_on_index(&gw.net, &repartitioned)
-            .render_installations();
+        let rendered = installations(&world, &repartitioned);
         if rendered != base {
             return Err(violation(
                 "shard-invariance",
@@ -172,24 +176,21 @@ pub fn check_fault_degradation(plan: &ScenarioPlan) -> Result<(), Violation> {
 
     // Both runs use the chaos resilience profile so the only difference
     // is the fault injection itself.
-    let config = RunConfig {
-        resilience: filterwatch_measure::ResilienceConfig::chaos(),
-        telemetry: false,
-        fetch_path: filterwatch_netsim::FetchPath::default(),
+    let chaos = |p: &ScenarioPlan| {
+        let campaign = campaign_for(p).with_resilience(ResilienceConfig::chaos());
+        run_campaign_with(p, campaign, build_world(p))
     };
-    let clean_report = run_campaign_with(&clean, &config);
-    let faulted_report = run_campaign_with(&faulted, &config);
-
-    let clean_lines: Vec<&String> = clean_report
-        .list_lines
-        .iter()
-        .chain(clean_report.cases.iter().flat_map(|c| &c.retest_lines))
-        .collect();
-    let faulted_lines: Vec<&String> = faulted_report
-        .list_lines
-        .iter()
-        .chain(faulted_report.cases.iter().flat_map(|c| &c.retest_lines))
-        .collect();
+    let clean_report = chaos(&clean);
+    let faulted_report = chaos(&faulted);
+    let verdict_lines = |r: &GeneratedReport| -> Vec<String> {
+        r.list_lines
+            .iter()
+            .cloned()
+            .chain(r.cases.iter().flat_map(retest_lines))
+            .collect()
+    };
+    let clean_lines = verdict_lines(&clean_report);
+    let faulted_lines = verdict_lines(&faulted_report);
     if clean_lines.len() != faulted_lines.len() {
         return Err(violation(
             "fault-degradation",
@@ -215,14 +216,19 @@ pub fn check_fault_degradation(plan: &ScenarioPlan) -> Result<(), Violation> {
     // Case-level: a confirmation may only change via an inconclusive
     // retest (the machinery said "don't know", never the opposite
     // answer).
-    for (c, f) in clean_report.cases.iter().zip(&faulted_report.cases) {
+    for (i, (c, f)) in clean_report
+        .cases
+        .iter()
+        .zip(&faulted_report.cases)
+        .enumerate()
+    {
         if c.confirmed != f.confirmed && f.retest_inconclusive == 0 {
             return Err(violation(
                 "fault-degradation",
                 plan,
                 format!(
-                    "dep{}: confirmation flipped ({} -> {}) with zero inconclusive retests",
-                    c.deployment, c.confirmed, f.confirmed
+                    "dep{i}: confirmation flipped ({} -> {}) with zero inconclusive retests",
+                    c.confirmed, f.confirmed
                 ),
             ));
         }
@@ -234,15 +240,12 @@ pub fn check_fault_degradation(plan: &ScenarioPlan) -> Result<(), Violation> {
 /// and held-out domains stay unblocked (reachable, on clean worlds).
 pub fn check_holdout_integrity(plan: &ScenarioPlan) -> Result<(), Violation> {
     let report = run_campaign(plan);
-    for c in &report.cases {
-        if c.confirmed != (c.submitted_blocked * 2 > c.n_submit) {
+    for (i, c) in report.cases.iter().enumerate() {
+        if c.confirmed != submitted_majority(c.submitted_blocked, c.spec.n_submit) {
             return Err(violation(
                 "holdout-integrity",
                 plan,
-                format!(
-                    "dep{}: confirmed flag disagrees with majority rule: {c:?}",
-                    c.deployment
-                ),
+                format!("dep{i}: confirmed flag disagrees with majority rule: {c:?}"),
             ));
         }
         if c.holdout_blocked != 0 {
@@ -250,20 +253,20 @@ pub fn check_holdout_integrity(plan: &ScenarioPlan) -> Result<(), Violation> {
                 "holdout-integrity",
                 plan,
                 format!(
-                    "dep{}: {} held-out site(s) blocked: {c:?}",
-                    c.deployment, c.holdout_blocked
+                    "dep{i}: {} held-out site(s) blocked: {c:?}",
+                    c.holdout_blocked
                 ),
             ));
         }
         if plan.fault.is_clean() {
-            for line in &c.retest_lines[c.n_submit..] {
-                if line_label(line) != "accessible" {
+            for v in &c.retest_verdicts[c.spec.n_submit..] {
+                if !v.verdict.is_accessible() {
                     return Err(violation(
                         "holdout-integrity",
                         plan,
                         format!(
-                            "dep{}: held-out site not reachable on a clean world: {line:?}",
-                            c.deployment
+                            "dep{i}: held-out site not reachable on a clean world: {:?}",
+                            v.to_line()
                         ),
                     ));
                 }

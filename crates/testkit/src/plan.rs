@@ -8,9 +8,9 @@
 //! [`crate::differential::minimize`] walks [`ScenarioPlan::shrink_candidates`]
 //! to find the smallest plan that still reproduces a divergence.
 
+use filterwatch_core::SiteKind;
 use filterwatch_netsim::FaultProfile;
 use filterwatch_products::ProductKind;
-use filterwatch_urllists::Category;
 
 /// The country pool every generated world registers (whether or not a
 /// deployment lands there, so keyword × ccTLD query scope is identical
@@ -38,26 +38,6 @@ pub fn deployable_count() -> usize {
     DEPLOYABLE.end - DEPLOYABLE.start
 }
 
-/// Content hosted on a deployment's controlled sites (§4.3 of the
-/// paper: proxy front pages and adult-image indexes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContentKind {
-    /// Glype-style proxy front page.
-    Proxy,
-    /// Adult image index (testers fetch the benign object).
-    Adult,
-}
-
-impl ContentKind {
-    /// The ONI category a vendor reviewer assigns to this content.
-    pub fn category(&self) -> Category {
-        match self {
-            ContentKind::Proxy => Category::AnonymizersProxies,
-            ContentKind::Adult => Category::Pornography,
-        }
-    }
-}
-
 /// One filtering deployment: a product placed in a country, with its
 /// policy, console visibility, optional flapping, and the shape of the
 /// submit-and-retest case study run against it.
@@ -68,8 +48,9 @@ pub struct DeploymentPlan {
     /// The product installed on this network's egress.
     pub product: ProductKind,
     /// Content kind of the controlled sites minted for this deployment
-    /// (the policy blocks this kind's vendor category).
-    pub content: ContentKind,
+    /// (§4.3: proxy front pages or adult-image indexes; the policy
+    /// blocks this kind's vendor category).
+    pub content: SiteKind,
     /// Whether the product's console/gateway answers external probes
     /// (§6.1's tactic 1, inverted). Websense deployments are always
     /// visible: their block-page host *is* the identifiable surface.
@@ -359,7 +340,7 @@ mod tests {
             deployments: vec![DeploymentPlan {
                 country: 0,
                 product: ProductKind::Netsweeper,
-                content: ContentKind::Proxy,
+                content: SiteKind::ProxyService,
                 console_visible: true,
                 flapping: Some(0.1),
                 n_sites: 4,

@@ -1,5 +1,11 @@
-//! Running the paper's submit-and-retest loop on a generated world and
-//! rendering the outcome as stable text.
+//! Running the paper's campaign on a generated world and rendering the
+//! outcome as stable text.
+//!
+//! A plan maps to a core [`Campaign`] ([`campaign_for`]) — one §4.2
+//! case study per deployment — which runs through the production
+//! [`CampaignRun`] on the plan's [`build_world`]. The testkit adds only
+//! the pre-submission list sweep ([`sweep_stage`]), after identify and
+//! before case 0's baseline, and the stable rendering.
 //!
 //! [`run_campaign`] is the single entry point everything in the testkit
 //! byte-compares on: the invariant suite runs it on metamorphic
@@ -7,77 +13,95 @@
 //! [`GeneratedReport::stable_text`], and the differential runner
 //! diffs it across configurations that must not matter.
 
-use filterwatch_core::identify::IdentifyPipeline;
+use filterwatch_core::campaign::{Campaign, CampaignReport, CampaignRun};
+use filterwatch_core::confirm::{CaseStudyResult, CaseStudySpec};
+use filterwatch_core::World;
 use filterwatch_measure::ResilienceConfig;
-use filterwatch_netsim::FetchPath;
-use filterwatch_products::{ProductKind, SubmitterProfile};
-use filterwatch_scanner::ScanEngine;
-use filterwatch_telemetry::TelemetryHandle;
-use filterwatch_trace::{build_forest, render_forest, TraceHandle};
+use filterwatch_products::SubmitterProfile;
+use filterwatch_trace::{build_forest, render_forest, TraceMode};
 use filterwatch_urllists::TestList;
 
-use crate::plan::ScenarioPlan;
-use crate::worldgen::{build_world, GeneratedSite, GeneratedWorld};
+use crate::plan::{DeploymentPlan, ScenarioPlan};
+use crate::worldgen::{build_world, deployment_name, world_options};
 
 /// Days waited between submission and retest — past every vendor's
 /// maximum review delay, so accepted submissions are always in effect
 /// at retest.
 pub const WAIT_DAYS: u64 = 6;
 
-/// How a campaign run is configured (the knobs that must NOT change
-/// verdicts).
-#[derive(Debug, Clone)]
-pub struct RunConfig {
-    /// Resilience configuration for every measurement client.
-    pub resilience: ResilienceConfig,
-    /// Attach an enabled telemetry collector to the world.
-    pub telemetry: bool,
-    /// Which netsim fetch machinery drives every flow — the event
-    /// kernel (default) or the direct-call differential oracle. Must
-    /// never change a byte of any report.
-    pub fetch_path: FetchPath,
-}
-
-impl RunConfig {
-    /// The canonical configuration for a plan: passthrough resilience on
-    /// clean worlds, the chaos profile (retries + breaker + quorum) when
-    /// the plan injects faults.
-    pub fn for_plan(plan: &ScenarioPlan) -> RunConfig {
-        RunConfig {
-            resilience: if plan.fault.is_clean() {
-                ResilienceConfig::default()
-            } else {
-                ResilienceConfig::chaos()
-            },
-            telemetry: false,
-            fetch_path: FetchPath::default(),
-        }
+/// The production campaign a plan runs: one case study per deployment,
+/// in plan order, and no characterization. Resilience is passthrough
+/// on clean worlds and the chaos profile (retries + breaker + quorum)
+/// when the plan injects faults. The knobs that must NOT change
+/// verdicts are `resilience`, `options.fetch_path` and the telemetry
+/// handle of the world the campaign runs on ([`run_campaign_with`]).
+pub fn campaign_for(plan: &ScenarioPlan) -> Campaign {
+    Campaign {
+        options: world_options(plan),
+        confirmations: plan
+            .deployments
+            .iter()
+            .enumerate()
+            .map(|(i, d)| case_spec(i, d))
+            .collect(),
+        list_urls_per_category: plan.urls_per_category,
+        characterize_runs: 0,
+        resilience: if plan.fault.is_clean() {
+            ResilienceConfig::default()
+        } else {
+            ResilienceConfig::chaos()
+        },
+        field_faults: None,
+        trace: TraceMode::Off,
     }
 }
 
-/// The outcome of one deployment's case study.
-#[derive(Debug, Clone)]
-pub struct CaseOutcome {
-    /// Deployment index in the plan.
-    pub deployment: usize,
-    /// The vendor exercised.
-    pub product: ProductKind,
-    /// Sites minted / submitted.
-    pub n_sites: usize,
-    /// Of which submitted.
-    pub n_submit: usize,
-    /// Submissions the vendor accepted.
-    pub submissions_accepted: usize,
-    /// Submitted sites blocked at retest.
-    pub submitted_blocked: usize,
-    /// Held-out sites blocked at retest.
-    pub holdout_blocked: usize,
-    /// Retest verdicts the machinery declined to render.
-    pub retest_inconclusive: usize,
-    /// §4.2 verdict: majority of submitted sites became blocked.
-    pub confirmed: bool,
-    /// Stable per-site retest lines (submitted first, then held out).
-    pub retest_lines: Vec<String>,
+/// Deployment `i`'s case study, measured through its field vantage.
+fn case_spec(i: usize, d: &DeploymentPlan) -> CaseStudySpec {
+    let isp = deployment_name(i, d);
+    CaseStudySpec {
+        label: isp.clone(),
+        product: d.product,
+        isp,
+        date: "-".into(),
+        site_kind: d.content,
+        n_sites: d.n_sites,
+        n_submit: d.n_submit,
+        category_label: d.content.category().name().into(),
+        // The paper's order: verify, then submit. Generated Netsweeper
+        // boxes do not queue accessed URLs, so verifying first cannot
+        // get a site categorized.
+        pre_verify: true,
+        wait_days: WAIT_DAYS,
+        retest_runs: 1,
+        submitter: SubmitterProfile::COVERT,
+    }
+}
+
+/// Start `campaign` on a generated world, applying its fetch path.
+/// Returns the run plus the world's topology digest, taken before any
+/// controlled site is minted.
+pub(crate) fn start_campaign(campaign: Campaign, world: World) -> (CampaignRun, u64) {
+    world.net.set_fetch_path(campaign.options.fetch_path);
+    let topology_digest = world.net.topology_digest();
+    (CampaignRun::with_world(campaign, world), topology_digest)
+}
+
+/// Stable per-site retest lines of a case (submitted first, then held
+/// out).
+pub fn retest_lines(case: &CaseStudyResult) -> Vec<String> {
+    case.retest_verdicts
+        .iter()
+        .enumerate()
+        .map(|(s, v)| {
+            let half = if s < case.spec.n_submit {
+                "submitted"
+            } else {
+                "heldout"
+            };
+            format!("{half} {}", v.to_line())
+        })
+        .collect()
 }
 
 /// A full generated-campaign report.
@@ -93,10 +117,26 @@ pub struct GeneratedReport {
     /// deployment vantage (`depN <url> <label> <product>` lines).
     pub list_lines: Vec<String>,
     /// Per-deployment case studies, in plan order.
-    pub cases: Vec<CaseOutcome>,
+    pub cases: Vec<CaseStudyResult>,
 }
 
 impl GeneratedReport {
+    /// Render a finished campaign on `plan`'s world.
+    pub fn new(
+        plan: &ScenarioPlan,
+        topology_digest: u64,
+        report: CampaignReport,
+        list_lines: Vec<String>,
+    ) -> GeneratedReport {
+        GeneratedReport {
+            plan: plan.clone(),
+            topology_digest,
+            identify_table: report.identify_table(),
+            list_lines,
+            cases: report.confirmations,
+        }
+    }
+
     /// The comparison surface metamorphic variants must agree on:
     /// verdict data only — no plan echo, no topology digest, no counts
     /// that scale with world size rather than filtering behaviour.
@@ -110,23 +150,22 @@ impl GeneratedReport {
             out.push('\n');
         }
         out.push_str("\n## cases\n");
-        for c in &self.cases {
+        for (i, c) in self.cases.iter().enumerate() {
             out.push_str(&format!(
-                "dep{} {} submitted={}/{} accepted={} blocked={} holdout_blocked={} \
+                "dep{i} {} submitted={}/{} accepted={} blocked={} holdout_blocked={} \
                  inconclusive={} confirmed={}\n",
-                c.deployment,
-                c.product.slug(),
-                c.n_submit,
-                c.n_sites,
+                c.spec.product.slug(),
+                c.spec.n_submit,
+                c.spec.n_sites,
                 c.submissions_accepted,
                 c.submitted_blocked,
                 c.holdout_blocked,
                 c.retest_inconclusive,
                 if c.confirmed { "yes" } else { "no" },
             ));
-            for line in &c.retest_lines {
+            for line in retest_lines(c) {
                 out.push_str("  ");
-                out.push_str(line);
+                out.push_str(&line);
                 out.push('\n');
             }
         }
@@ -135,7 +174,7 @@ impl GeneratedReport {
 
     /// The full stable rendering: plan summary and topology digest on
     /// top of [`GeneratedReport::comparable_text`]. Byte-identical for
-    /// the same (plan, config) — this is what goldens snapshot.
+    /// the same (plan, campaign) — this is what goldens snapshot.
     pub fn stable_text(&self) -> String {
         format!(
             "# generated campaign\nplan: {}\ntopology: {:016x}\n\n{}",
@@ -146,171 +185,53 @@ impl GeneratedReport {
     }
 }
 
-/// One deployment's case study between baseline and retest: the minted
-/// sites and the vendor's acceptance count, riding out the review
-/// window. This is exactly the state a checkpoint boundary can fall
-/// inside of, so the orchestrator's generated-campaign driver holds one
-/// of these between stages.
-#[derive(Debug, Clone)]
-pub struct CaseInFlight {
-    /// Deployment index in the plan.
-    pub deployment: usize,
-    spec: crate::plan::DeploymentPlan,
-    sites: Vec<GeneratedSite>,
-    submissions_accepted: usize,
-}
-
-/// Stage 1 on a generated world: scan, identify, render installations.
-pub fn identify_stage(gw: &GeneratedWorld) -> String {
-    let index = ScanEngine::new().scan(&gw.net);
-    let identify = IdentifyPipeline::new().run_on_index(&gw.net, &index);
-    identify.render_installations()
-}
-
 /// Pre-submission sweep of the (pre-categorized) global list from
 /// every deployment vantage.
-pub fn sweep_stage(gw: &GeneratedWorld, config: &RunConfig) -> Vec<String> {
-    let list = TestList::global(gw.plan.urls_per_category);
+pub fn sweep_stage(plan: &ScenarioPlan, world: &World) -> Vec<String> {
+    let list = TestList::global(plan.urls_per_category);
     let mut list_lines = Vec::new();
-    for dep in 0..gw.plan.deployments.len() {
-        let client = gw.client(dep, &config.resilience);
+    for (i, d) in plan.deployments.iter().enumerate() {
+        let client = world.client(&deployment_name(i, d));
         for test_url in &list.urls {
             let url = filterwatch_http::Url::parse(&test_url.url).expect("list URL");
-            let v = client.test_url(&gw.net, &url);
-            list_lines.push(format!("dep{dep} {}", v.to_line()));
+            let v = client.test_url(&world.net, &url);
+            list_lines.push(format!("dep{i} {}", v.to_line()));
         }
     }
     list_lines
 }
 
-/// Stage 2a for deployment `i`: mint the case's controlled sites.
-pub fn baseline_stage(gw: &mut GeneratedWorld, i: usize) -> CaseInFlight {
-    let spec = gw.plan.deployments[i].clone();
-    let sites: Vec<GeneratedSite> = (0..spec.n_sites)
-        .map(|_| gw.mint_site(spec.content))
-        .collect();
-    CaseInFlight {
-        deployment: i,
-        spec,
-        sites,
-        submissions_accepted: 0,
-    }
-}
-
-/// Stage 2b: submit the chosen subset to the vendor channel.
-pub fn submit_stage(gw: &mut GeneratedWorld, case: &mut CaseInFlight) {
-    let cloud = gw.cloud(case.spec.product).clone();
-    let now = gw.net.now();
-    for site in &case.sites[..case.spec.n_submit] {
-        if cloud
-            .submit(&site.submit_url(), SubmitterProfile::COVERT, now)
-            .accepted
-        {
-            case.submissions_accepted += 1;
-        }
-    }
-}
-
-/// Stage 2d, after the review window: retest every site and fold the
-/// case study into its outcome.
-pub fn retest_stage(gw: &GeneratedWorld, config: &RunConfig, case: CaseInFlight) -> CaseOutcome {
-    let CaseInFlight {
-        deployment,
-        spec,
-        sites,
-        submissions_accepted,
-    } = case;
-    let client = gw.client(deployment, &config.resilience);
-    let mut blocked = vec![false; sites.len()];
-    let mut retest_inconclusive = 0;
-    let mut retest_lines = Vec::new();
-    for (s, site) in sites.iter().enumerate() {
-        let v = client.test_url(&gw.net, &site.test_url());
-        if v.verdict.is_blocked() {
-            blocked[s] = true;
-        } else if v.verdict.is_inconclusive() {
-            retest_inconclusive += 1;
-        }
-        retest_lines.push(format!(
-            "{} {}",
-            if s < spec.n_submit {
-                "submitted"
-            } else {
-                "heldout"
-            },
-            v.to_line()
-        ));
-    }
-    let submitted_blocked = blocked[..spec.n_submit].iter().filter(|&&b| b).count();
-    let holdout_blocked = blocked[spec.n_submit..].iter().filter(|&&b| b).count();
-    CaseOutcome {
-        deployment,
-        product: spec.product,
-        n_sites: spec.n_sites,
-        n_submit: spec.n_submit,
-        submissions_accepted,
-        submitted_blocked,
-        holdout_blocked,
-        retest_inconclusive,
-        confirmed: submitted_blocked * 2 > spec.n_submit,
-        retest_lines,
-    }
-}
-
-/// Run the full loop — identify, sweep the test list, then one
-/// submit-and-retest case study per deployment — with the plan's
-/// canonical [`RunConfig`].
+/// Run the plan's canonical campaign ([`campaign_for`]) on a freshly
+/// built world.
 pub fn run_campaign(plan: &ScenarioPlan) -> GeneratedReport {
-    run_campaign_with(plan, &RunConfig::for_plan(plan))
+    run_campaign_with(plan, campaign_for(plan), build_world(plan))
 }
 
-/// Run the full loop with an explicit configuration. This is the
-/// linear driver over the stage functions above; the orchestrator's
-/// `GeneratedDriver` runs the same stages under checkpointed
-/// scheduling, and the crash-recovery battery holds the two
-/// byte-identical.
-pub fn run_campaign_with(plan: &ScenarioPlan, config: &RunConfig) -> GeneratedReport {
-    let mut gw = build_world(plan);
-    gw.net.set_fetch_path(config.fetch_path);
-    if config.telemetry {
-        gw.net.set_telemetry(TelemetryHandle::enabled());
-    }
-    drive_campaign(&mut gw, config)
+/// Run `campaign` on `world`, built for `plan` and instrumented by the
+/// caller. This is the linear driver; the orchestrator runs the same
+/// stages under checkpointed scheduling ([`crate::generated_driver`]), and the
+/// crash-recovery battery holds the two byte-identical.
+pub fn run_campaign_with(plan: &ScenarioPlan, campaign: Campaign, world: World) -> GeneratedReport {
+    let (mut run, topology_digest) = start_campaign(campaign, world);
+    let list_lines = drive(plan, &mut run);
+    GeneratedReport::new(plan, topology_digest, run.finish(), list_lines)
 }
 
-/// The stage driver over an already-built (and instrumented) world.
-fn drive_campaign(gw: &mut GeneratedWorld, config: &RunConfig) -> GeneratedReport {
-    let topology_digest = gw.net.topology_digest();
-
-    // Stage 1: identify, then the pre-submission list sweep.
-    let identify_table = identify_stage(gw);
-    let list_lines = sweep_stage(gw, config);
-
-    // Stage 2: one case study per deployment, sequentially (the virtual
-    // clock advances past the vendor review window between each).
-    let mut cases = Vec::new();
-    for i in 0..gw.plan.deployments.len() {
-        let mut case = baseline_stage(gw, i);
-        submit_stage(gw, &mut case);
-        gw.net.advance_days(WAIT_DAYS);
-        cases.push(retest_stage(gw, config, case));
-    }
-
-    GeneratedReport {
-        plan: gw.plan.clone(),
-        topology_digest,
-        identify_table,
-        list_lines,
-        cases,
-    }
+/// Every stage of a started run, the list sweep right after identify.
+fn drive(plan: &ScenarioPlan, run: &mut CampaignRun) -> Vec<String> {
+    run.identify();
+    let list_lines = sweep_stage(plan, run.world());
+    run.confirm_remaining();
+    run.characterize_confirmed();
+    list_lines
 }
 
 /// Everything a campaign run leaves behind when every observation
 /// surface is switched on: the report plus the raw per-flow log and the
 /// rendered causal trace forest. The old-vs-new differential battery
-/// byte-compares all three across [`FetchPath`] values — agreement on
-/// the report alone would still let the event kernel reorder or drop
-/// interior observations.
+/// byte-compares all three across fetch paths — agreement on the report
+/// alone would still let the event kernel reorder or drop interior
+/// observations.
 #[derive(Debug, Clone)]
 pub struct CampaignForensics {
     /// The campaign report (same surface as [`run_campaign_with`]).
@@ -321,21 +242,24 @@ pub struct CampaignForensics {
     pub trace_forest: String,
 }
 
-/// Run the full loop with the flow log and tracer enabled, returning
+/// Run `campaign` with the flow log and full tracing enabled, returning
 /// the report together with both observation surfaces.
-pub fn run_campaign_forensic(plan: &ScenarioPlan, config: &RunConfig) -> CampaignForensics {
-    let mut gw = build_world(plan);
-    gw.net.set_fetch_path(config.fetch_path);
-    if config.telemetry {
-        gw.net.set_telemetry(TelemetryHandle::enabled());
-    }
-    gw.net.set_flow_log(true);
-    gw.net.set_tracer(TraceHandle::enabled(plan.seed));
-    let report = drive_campaign(&mut gw, config);
-    let flow_lines = gw.net.flow_log().iter().map(|r| r.to_line()).collect();
-    let trace_forest = render_forest(&build_forest(&gw.net.tracer().snapshot()));
+pub fn run_campaign_forensic(plan: &ScenarioPlan, campaign: Campaign) -> CampaignForensics {
+    let world = build_world(plan);
+    world.net.set_flow_log(true);
+    let (mut run, topology_digest) = start_campaign(campaign.with_trace(TraceMode::Full), world);
+    let list_lines = drive(plan, &mut run);
+    let flow_lines = run
+        .world()
+        .net
+        .flow_log()
+        .iter()
+        .map(|r| r.to_line())
+        .collect();
+    let report = run.finish();
+    let trace_forest = render_forest(&build_forest(&report.trace));
     CampaignForensics {
-        report,
+        report: GeneratedReport::new(plan, topology_digest, report, list_lines),
         flow_lines,
         trace_forest,
     }
@@ -346,6 +270,7 @@ mod tests {
     use super::*;
     use crate::plan::FaultPlan;
     use crate::strategies::plan_for_seed;
+    use filterwatch_core::confirm::submitted_majority;
 
     #[test]
     fn campaign_runs_and_reports_every_deployment() {
@@ -353,8 +278,8 @@ mod tests {
         let report = run_campaign(&plan);
         assert_eq!(report.cases.len(), plan.deployments.len());
         for (c, d) in report.cases.iter().zip(&plan.deployments) {
-            assert_eq!(c.n_sites, d.n_sites);
-            assert_eq!(c.retest_lines.len(), d.n_sites);
+            assert_eq!(c.spec.n_sites, d.n_sites);
+            assert_eq!(retest_lines(c).len(), d.n_sites);
         }
         assert_eq!(
             report.list_lines.len(),
@@ -379,9 +304,10 @@ mod tests {
                     "seed {seed}: {c:?}"
                 );
                 assert_eq!(c.holdout_blocked, 0, "seed {seed}: {c:?}");
+                assert_eq!(c.accessible_before, Some(c.spec.n_sites));
                 assert_eq!(
                     c.confirmed,
-                    c.submissions_accepted * 2 > c.n_submit,
+                    submitted_majority(c.submissions_accepted, c.spec.n_submit),
                     "seed {seed}: {c:?}"
                 );
             }

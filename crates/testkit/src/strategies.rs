@@ -10,18 +10,19 @@ use proptest::collection::vec;
 use proptest::strategy::{BoxedStrategy, Just, Strategy, Union};
 use proptest::test_runner::TestRng;
 
+use filterwatch_core::SiteKind;
 use filterwatch_products::ProductKind;
 
-use crate::plan::{deployable_count, ContentKind, DeploymentPlan, FaultPlan, ScenarioPlan};
+use crate::plan::{deployable_count, DeploymentPlan, FaultPlan, ScenarioPlan};
 
 fn product_strategy() -> BoxedStrategy<ProductKind> {
     Union::new(ProductKind::ALL.iter().map(|&p| Just(p).boxed()).collect()).boxed()
 }
 
-fn content_strategy() -> BoxedStrategy<ContentKind> {
+fn content_strategy() -> BoxedStrategy<SiteKind> {
     Union::new(vec![
-        Just(ContentKind::Proxy).boxed(),
-        Just(ContentKind::Adult).boxed(),
+        Just(SiteKind::ProxyService).boxed(),
+        Just(SiteKind::AdultImages).boxed(),
     ])
     .boxed()
 }

@@ -1,4 +1,5 @@
-//! Building a live simulated Internet from a [`ScenarioPlan`].
+//! Building a live simulated Internet from a [`ScenarioPlan`], as a
+//! core [`World`] the production campaign runs on.
 //!
 //! The construction order is load-bearing for the metamorphic suite:
 //! infrastructure first (lab, hosting, vendor clouds, test-list origin
@@ -10,109 +11,22 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use filterwatch_http::Url;
-use filterwatch_measure::{MeasurementClient, ResilienceConfig};
-use filterwatch_netsim::service::{AdultImageSite, GlypeProxySite, StaticSite};
-use filterwatch_netsim::{
-    Flapping, Internet, IpAddr, Middlebox, NetworkId, NetworkSpec, VantageId,
-};
-use filterwatch_products::bluecoat::{
-    BlueCoatProxy, CfAuthPortal, ProxySgConsole, ProxySgIntercept,
-};
-use filterwatch_products::netsweeper::{NetsweeperBox, NetsweeperConsole};
-use filterwatch_products::smartfilter::{SmartFilterBox, SmartFilterConsole};
-use filterwatch_products::websense::{WebsenseBlockpage, WebsenseBox, BLOCKPAGE_PORT};
+use filterwatch_core::world::{add_deployment_surface, console_host_name, host_list_origins};
+use filterwatch_core::{World, WorldOptions};
+use filterwatch_netsim::service::StaticSite;
+use filterwatch_netsim::{Flapping, Internet, Middlebox, NetworkSpec};
+use filterwatch_products::bluecoat::{BlueCoatProxy, CfAuthPortal};
+use filterwatch_products::netsweeper::NetsweeperBox;
+use filterwatch_products::smartfilter::SmartFilterBox;
+use filterwatch_products::websense::WebsenseBox;
 use filterwatch_products::{taxonomy, FilterPolicy, ProductKind, VendorCloud};
 use filterwatch_urllists::{Category, DomainForge, TestList};
 
-use crate::plan::{ContentKind, DeploymentPlan, ScenarioPlan, COUNTRY_POOL, DEPLOYABLE};
-
-/// A researcher-controlled site minted on the hosting network.
-#[derive(Debug, Clone)]
-pub struct GeneratedSite {
-    /// The registered domain.
-    pub domain: String,
-    /// Hosted content kind.
-    pub content: ContentKind,
-    /// Host address.
-    pub ip: IpAddr,
-}
-
-impl GeneratedSite {
-    /// The URL testers fetch (the benign object for adult sites).
-    pub fn test_url(&self) -> Url {
-        let path = match self.content {
-            ContentKind::Proxy => "/",
-            ContentKind::Adult => "/benign.png",
-        };
-        Url::parse(&format!("http://{}{path}", self.domain)).expect("valid")
-    }
-
-    /// The URL submitted to vendors.
-    pub fn submit_url(&self) -> Url {
-        Url::parse(&format!("http://{}/", self.domain)).expect("valid")
-    }
-}
-
-/// The built world for a plan.
-pub struct GeneratedWorld {
-    /// The simulated Internet.
-    pub net: Internet,
-    /// The plan this world was built from.
-    pub plan: ScenarioPlan,
-    /// Control vantage (unfiltered lab network).
-    pub lab: VantageId,
-    /// Hosting network controlled sites and list origins stand on.
-    pub hosting: NetworkId,
-    /// One field vantage per deployment, in plan order.
-    pub vantages: Vec<VantageId>,
-    clouds: BTreeMap<ProductKind, Arc<VendorCloud>>,
-    forge: DomainForge,
-}
-
-impl GeneratedWorld {
-    /// The vendor cloud for a product.
-    pub fn cloud(&self, product: ProductKind) -> &Arc<VendorCloud> {
-        &self.clouds[&product]
-    }
-
-    /// A lab-controlled measurement client inside deployment `dep`.
-    pub fn client(&self, dep: usize, resilience: &ResilienceConfig) -> MeasurementClient {
-        MeasurementClient::new(self.vantages[dep], self.lab)
-            .with_resilience(resilience.clone())
-            .with_telemetry(self.net.telemetry().clone())
-    }
-
-    /// Mint a fresh controlled domain hosting `content`, resolvable
-    /// worldwide, with reviewer ground truth registered at every vendor.
-    pub fn mint_site(&mut self, content: ContentKind) -> GeneratedSite {
-        let domain = self.forge.mint();
-        let ip = self.net.alloc_ip(self.hosting).expect("hosting space");
-        self.net.add_host(ip, self.hosting, &[&domain]);
-        match content {
-            ContentKind::Proxy => self.net.add_service(ip, 80, Box::new(GlypeProxySite)),
-            ContentKind::Adult => self
-                .net
-                .add_service(ip, 80, Box::new(AdultImageSite::new())),
-        }
-        for cloud in self.clouds.values() {
-            cloud.register_site_profile(&domain, content.category());
-        }
-        GeneratedSite {
-            domain,
-            content,
-            ip,
-        }
-    }
-}
+use crate::plan::{DeploymentPlan, ScenarioPlan, COUNTRY_POOL, DEPLOYABLE};
 
 /// Deployment network name (`dep0-netsweeper` style).
 pub fn deployment_name(i: usize, d: &DeploymentPlan) -> String {
     format!("dep{i}-{}", d.product.slug())
-}
-
-fn deny_host_name(name: &str, tld: &str) -> String {
-    format!("gw.{name}.{tld}")
 }
 
 /// The blocked vendor categories of a deployment's policy: its content
@@ -127,11 +41,13 @@ fn policy_for(d: &DeploymentPlan) -> FilterPolicy {
     FilterPolicy::blocking(cats)
 }
 
-/// Build the simulated Internet a plan describes.
+/// Build the simulated Internet a plan describes. Each deployment's
+/// field vantage is keyed by its network name ([`deployment_name`]);
+/// controlled-site domains come from the `"testkit-forge"` stream.
 ///
 /// # Panics
 /// When the plan fails [`ScenarioPlan::validate`].
-pub fn build_world(plan: &ScenarioPlan) -> GeneratedWorld {
+pub fn build_world(plan: &ScenarioPlan) -> World {
     plan.validate().expect("plan must be valid");
     let seed = plan.seed;
     let mut net = Internet::new(seed);
@@ -171,34 +87,11 @@ pub fn build_world(plan: &ScenarioPlan) -> GeneratedWorld {
     }
 
     // Test-list origin sites, pre-categorized at every vendor.
-    let list = TestList::global(plan.urls_per_category);
-    for test_url in &list.urls {
-        let url = Url::parse(&test_url.url).expect("list URL parses");
-        let ip = net.alloc_ip(hosting).expect("origin ip");
-        net.add_host(ip, hosting, &[url.host()]);
-        net.add_service(
-            ip,
-            80,
-            Box::new(StaticSite::new(
-                test_url.category.name(),
-                &format!(
-                    "<p>Reference content for the {} category.</p>",
-                    test_url.category.name()
-                ),
-            )),
-        );
-        let domain = url.registrable_domain();
-        for (product, cloud) in &clouds {
-            cloud.register_site_profile(&domain, test_url.category);
-            cloud.seed_categorization(
-                &domain,
-                taxonomy::vendor_category(*product, test_url.category),
-            );
-        }
-    }
+    let lists = [TestList::global(plan.urls_per_category)];
+    host_list_origins(&mut net, hosting, &lists, &clouds).expect("origin space");
 
     // Deployments, in plan order.
-    let mut vantages = Vec::new();
+    let mut fields = BTreeMap::new();
     for (i, d) in plan.deployments.iter().enumerate() {
         let (code, _, tld) = d.country_row();
         let name = deployment_name(i, d);
@@ -214,7 +107,7 @@ pub fn build_world(plan: &ScenarioPlan) -> GeneratedWorld {
 
         let cloud = Arc::clone(&clouds[&d.product]);
         let policy = policy_for(d);
-        let deny_host = deny_host_name(&name, tld);
+        let deny_host = console_host_name(&name, tld);
         let label = format!("{}@{name}", d.product.slug());
         let inner: Arc<dyn Middlebox> = match d.product {
             ProductKind::BlueCoat => Arc::new(BlueCoatProxy::new(&label, cloud, policy)),
@@ -240,8 +133,18 @@ pub fn build_world(plan: &ScenarioPlan) -> GeneratedWorld {
         };
         net.attach_middlebox(isp, boxed);
 
-        add_surface(&mut net, isp, &name, tld, d);
-        vantages.push(net.add_vantage(&format!("dep{i}-field"), isp));
+        // Websense is never hidden (validated upstream): its block-page
+        // host *is* the identifiable surface.
+        add_deployment_surface(
+            &mut net,
+            isp,
+            &name,
+            tld,
+            d.product,
+            d.console_visible,
+            false,
+        );
+        fields.insert(name, net.add_vantage(&format!("dep{i}-field"), isp));
     }
 
     // Bystander ASes last: purely additive, no middlebox, no vantage.
@@ -269,14 +172,25 @@ pub fn build_world(plan: &ScenarioPlan) -> GeneratedWorld {
     // allocation anything else byte-compares on.
     add_scale_hosts(&mut net, plan);
 
-    GeneratedWorld {
+    let forge = DomainForge::new(filterwatch_netsim::rng::mix(seed, "testkit-forge"));
+    World::from_parts(
         net,
-        plan: plan.clone(),
-        lab,
-        hosting,
-        vantages,
+        world_options(plan),
         clouds,
-        forge: DomainForge::new(filterwatch_netsim::rng::mix(seed, "testkit-forge")),
+        lab,
+        fields,
+        hosting,
+        forge,
+    )
+}
+
+/// The options a plan's world is built under: its seed and list size,
+/// defaults otherwise.
+pub(crate) fn world_options(plan: &ScenarioPlan) -> WorldOptions {
+    WorldOptions {
+        seed: plan.seed,
+        list_urls_per_category: plan.urls_per_category,
+        ..WorldOptions::default()
     }
 }
 
@@ -326,73 +240,20 @@ fn add_scale_hosts(net: &mut Internet, plan: &ScenarioPlan) {
     }
 }
 
-/// The externally probeable surface of a deployment: the product's
-/// console/gateway host. Hidden Netsweeper and Websense deployments
-/// still need their deny/block-page host to exist (in-network clients
-/// fetch it when blocked); Netsweeper hides by answering only the deny
-/// path, Websense is never hidden (validated upstream).
-fn add_surface(net: &mut Internet, isp: NetworkId, name: &str, tld: &str, d: &DeploymentPlan) {
-    let host = match d.product {
-        ProductKind::BlueCoat => format!("proxy.{name}.{tld}"),
-        ProductKind::SmartFilter => format!("mwg.{name}.{tld}"),
-        ProductKind::Netsweeper | ProductKind::Websense => deny_host_name(name, tld),
-    };
-    if !d.console_visible && matches!(d.product, ProductKind::BlueCoat | ProductKind::SmartFilter) {
-        // Inline blockers: no external host at all when hidden.
-        return;
-    }
-    let ip = net.alloc_ip(isp).expect("console ip");
-    net.add_host(ip, isp, &[&host]);
-    match d.product {
-        ProductKind::BlueCoat => {
-            net.add_service(ip, 80, Box::new(ProxySgConsole));
-            net.add_service(ip, 8080, Box::new(ProxySgIntercept));
-        }
-        ProductKind::SmartFilter => net.add_service(ip, 80, Box::new(SmartFilterConsole)),
-        ProductKind::Netsweeper => {
-            if d.console_visible {
-                net.add_service(ip, 8080, Box::new(NetsweeperConsole));
-            } else {
-                net.add_service(ip, 8080, Box::new(DenyOnly));
-            }
-        }
-        ProductKind::Websense => net.add_service(ip, BLOCKPAGE_PORT, Box::new(WebsenseBlockpage)),
-    }
-}
-
-/// A Netsweeper deny host that answers only the deny path — the
-/// "properly configured" installation of §6.1: deny pages work, probes
-/// learn nothing.
-#[derive(Debug, Clone, Default)]
-struct DenyOnly;
-
-impl filterwatch_netsim::Service for DenyOnly {
-    fn handle(
-        &self,
-        req: &filterwatch_http::Request,
-        ctx: &filterwatch_netsim::ServiceCtx,
-    ) -> filterwatch_http::Response {
-        if req.url.path().starts_with("/webadmin/deny") {
-            NetsweeperConsole.handle(req, ctx)
-        } else {
-            filterwatch_http::Response::not_found()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::strategies::plan_for_seed;
     use filterwatch_core::identify::IdentifyPipeline;
+    use filterwatch_core::SiteKind;
 
     #[test]
     fn builds_a_world_for_every_early_seed() {
         for seed in 0..8 {
             let plan = plan_for_seed(seed);
-            let gw = build_world(&plan);
-            assert_eq!(gw.vantages.len(), plan.deployments.len());
-            assert!(gw.net.host_count() > 0);
+            let world = build_world(&plan);
+            assert_eq!(world.field_isps().len(), plan.deployments.len());
+            assert!(world.net.host_count() > 0);
         }
     }
 
@@ -414,8 +275,8 @@ mod tests {
                 continue;
             };
             let (cc, _, _) = d.country_row();
-            let gw = build_world(&plan);
-            let report = IdentifyPipeline::new().run(&gw.net);
+            let world = build_world(&plan);
+            let report = IdentifyPipeline::new().run(&world.net);
             assert!(
                 report
                     .installations
@@ -452,13 +313,13 @@ mod tests {
         for d in &mut plan.deployments {
             d.flapping = None;
         }
-        let mut gw = build_world(&plan);
-        let site = gw.mint_site(ContentKind::Proxy);
-        assert!(gw.net.dns().resolve(&site.domain).is_some());
+        let mut world = build_world(&plan);
+        let site = world.create_controlled_site(SiteKind::ProxyService);
+        assert!(world.net.dns().resolve(&site.domain).is_some());
         // Freshly minted and never submitted: no vendor has categorized
         // it, so even the filtered path lets it through.
-        let client = gw.client(0, &ResilienceConfig::default());
-        let v = client.test_url(&gw.net, &site.test_url());
+        let client = world.client(&deployment_name(0, &plan.deployments[0]));
+        let v = client.test_url(&world.net, &site.test_url());
         assert!(v.verdict.is_accessible(), "{:?}", v.verdict);
     }
 }

@@ -17,8 +17,8 @@ use filterwatch_orchestrator::{
     ResumeError,
 };
 use filterwatch_testkit::{
-    plan_for_seed, resume_generated_campaign, run_campaign, run_campaign_with,
-    run_generated_campaign, seeds_from_env, GeneratedDriver, RunConfig,
+    build_world, campaign_for, generated_driver, plan_for_seed, resume_generated_campaign,
+    run_campaign, run_campaign_with, run_generated_campaign, seeds_from_env,
 };
 
 const BATTERY: &[u64] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
@@ -36,7 +36,7 @@ fn kill_at_every_checkpoint_boundary_resumes_byte_identical() {
         assert_eq!(want, linear, "seed {seed}: orchestrator changed verdicts");
 
         for step in 0..checkpoints.len() as u64 {
-            let driver = GeneratedDriver::new(descriptor.clone()).expect("generated driver");
+            let driver = generated_driver(descriptor.clone()).expect("generated driver");
             let mut orch =
                 Orchestrator::new(vec![driver]).with_crash_plan(CrashPlan::at_step(step));
             assert_eq!(
@@ -80,9 +80,9 @@ fn wait_parked_event_core_resumes_match_the_direct_oracle() {
             run_generated_campaign(descriptor).expect("uninterrupted run");
 
         let plan = plan_for_seed(seed);
-        let mut config = RunConfig::for_plan(&plan);
-        config.fetch_path = FetchPath::DirectReference;
-        let oracle = run_campaign_with(&plan, &config).comparable_text();
+        let mut campaign = campaign_for(&plan);
+        campaign.options.fetch_path = FetchPath::DirectReference;
+        let oracle = run_campaign_with(&plan, campaign, build_world(&plan)).comparable_text();
         assert_eq!(
             reference.comparable_text(),
             oracle,

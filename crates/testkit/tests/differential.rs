@@ -4,8 +4,9 @@
 //! The sweep honours `FILTERWATCH_SEEDS` (comma-separated) so CI can
 //! widen the battery without a code change.
 
+use filterwatch_core::SiteKind;
 use filterwatch_testkit::{
-    minimize, plan_for_seed, run_campaign, seeds_from_env, ContentKind, FaultPlan, ScenarioPlan,
+    minimize, plan_for_seed, run_campaign, seeds_from_env, FaultPlan, ScenarioPlan,
 };
 
 #[test]
@@ -64,7 +65,10 @@ fn injected_verdict_flip_is_caught_and_minimized() {
     assert_eq!((d.n_sites, d.n_submit), (2, 1));
     // The minimized plan itself can be any content kind — either still
     // reproduces, since the list sweep always covers both categories.
-    assert!(matches!(d.content, ContentKind::Proxy | ContentKind::Adult));
+    assert!(matches!(
+        d.content,
+        SiteKind::ProxyService | SiteKind::AdultImages
+    ));
 
     // And it still reproduces: 1-minimality means every further shrink
     // passes, but the minimum itself must keep failing.

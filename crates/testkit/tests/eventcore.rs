@@ -11,12 +11,13 @@
 //! The sweep honours `FILTERWATCH_SEEDS` (comma-separated) so CI can
 //! widen the battery without a code change.
 
+use filterwatch_core::identify::IdentifyPipeline;
 use filterwatch_core::Campaign;
 use filterwatch_netsim::FetchPath;
 use filterwatch_testkit::differential::check_direct_vs_event;
-use filterwatch_testkit::runner::{identify_stage, sweep_stage};
+use filterwatch_testkit::runner::sweep_stage;
 use filterwatch_testkit::{
-    build_world, minimize, plan_for_seed, run_campaign_with, seeds_from_env, FaultPlan, RunConfig,
+    build_world, deployment_name, minimize, plan_for_seed, run_campaign, seeds_from_env, FaultPlan,
 };
 use filterwatch_trace::{build_forest, render_forest, TraceMode};
 use filterwatch_urllists::TestList;
@@ -79,7 +80,6 @@ fn equal_timestamp_insertion_order_never_changes_campaign_tables() {
         for d in &mut plan.deployments {
             d.flapping = None;
         }
-        let config = RunConfig::for_plan(&plan);
         let urls: Vec<filterwatch_http::Url> = TestList::global(plan.urls_per_category)
             .urls
             .iter()
@@ -90,19 +90,25 @@ fn equal_timestamp_insertion_order_never_changes_campaign_tables() {
         // run the identify and sweep stages on the world that prologue
         // just exercised.
         let run_in_order = |order: &[usize]| -> (Vec<String>, String, Vec<String>) {
-            let gw = build_world(&plan);
+            let world = build_world(&plan);
+            let field = world.field(&deployment_name(0, &plan.deployments[0]));
             let mut flows = vec![None; urls.len()];
             for &i in order {
-                flows[i] = Some(gw.net.start_fetch(gw.vantages[0], &urls[i]));
+                flows[i] = Some(world.net.start_fetch(field, &urls[i]));
             }
-            gw.net.run_to_quiescence();
-            assert_eq!(gw.net.pending_events(), 0);
+            world.net.run_to_quiescence();
+            assert_eq!(world.net.pending_events(), 0);
             let outcomes = flows
                 .iter()
-                .map(|f| format!("{:?}", gw.net.take_outcome(f.expect("flow opened"))))
+                .map(|f| format!("{:?}", world.net.take_outcome(f.expect("flow opened"))))
                 .collect();
-            assert_eq!(gw.net.flows_in_flight(), 0);
-            (outcomes, identify_stage(&gw), sweep_stage(&gw, &config))
+            assert_eq!(world.net.flows_in_flight(), 0);
+            let identify = IdentifyPipeline::new().run(&world.net);
+            (
+                outcomes,
+                identify.render_installations(),
+                sweep_stage(&plan, &world),
+            )
         };
 
         let n = urls.len();
@@ -126,7 +132,7 @@ fn equal_timestamp_insertion_order_never_changes_campaign_tables() {
 fn scale_campaign(host_scale: usize) {
     let mut plan = plan_for_seed(1);
     plan.host_scale = host_scale;
-    let report = run_campaign_with(&plan, &RunConfig::for_plan(&plan));
+    let report = run_campaign(&plan);
     assert_eq!(report.cases.len(), plan.deployments.len());
     assert!(
         !report.identify_table.is_empty() && !report.list_lines.is_empty(),
@@ -138,7 +144,7 @@ fn scale_campaign(host_scale: usize) {
     base.host_scale = 0;
     assert_eq!(
         report.comparable_text(),
-        run_campaign_with(&base, &RunConfig::for_plan(&base)).comparable_text(),
+        run_campaign(&base).comparable_text(),
         "host_scale changed campaign verdicts"
     );
 }
@@ -158,14 +164,18 @@ fn scale_smoke_ten_thousand_host_campaign() {
 fn scale_smoke_hundred_thousand_host_campaign() {
     let mut plan = plan_for_seed(1);
     plan.host_scale = 100_000;
-    let gw = build_world(&plan);
-    assert!(gw.net.host_count() >= 100_000, "{}", gw.net.host_count());
+    let world = build_world(&plan);
+    assert!(
+        world.net.host_count() >= 100_000,
+        "{}",
+        world.net.host_count()
+    );
     // One /24 per 32 scale hosts: a multi-thousand-AS topology.
     assert!(
-        gw.net.registry().prefixes().len() >= 3_000,
+        world.net.registry().prefixes().len() >= 3_000,
         "only {} prefixes",
-        gw.net.registry().prefixes().len()
+        world.net.registry().prefixes().len()
     );
-    drop(gw);
+    drop(world);
     scale_campaign(100_000);
 }

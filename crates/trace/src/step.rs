@@ -55,7 +55,7 @@ pub enum StepKind {
     /// A campaign restored from a checkpoint; opened as a span so
     /// verdicts produced after the restore carry it in their ancestry.
     Resume,
-    /// A timer-wheel deadline firing (the scheduler waking a campaign
+    /// A timer-queue deadline firing (the scheduler waking a campaign
     /// parked in its `Wait` stage).
     SchedTimer,
 }
