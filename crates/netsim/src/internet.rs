@@ -455,6 +455,15 @@ impl Internet {
         self.hosts.values()
     }
 
+    /// Hosts whose address falls inside `cidr`, in address order. A
+    /// range walk of the host map: the cost is the hosts found, not the
+    /// prefix size.
+    pub fn hosts_in(&self, cidr: Cidr) -> impl Iterator<Item = &Host> {
+        self.hosts
+            .range(cidr.first()..=cidr.last())
+            .map(|(_, host)| host)
+    }
+
     /// Number of hosts.
     pub fn host_count(&self) -> usize {
         self.hosts.len()
@@ -1393,6 +1402,22 @@ mod tests {
         assert!(net.remove_host(ip));
         assert!(net.dns().resolve("gone.site.ca").is_none());
         assert!(!net.remove_host(ip));
+    }
+
+    #[test]
+    fn hosts_in_walks_only_the_prefix() {
+        let (mut net, lab, isp) = world();
+        let mut added = Vec::new();
+        for (network, name) in [(isp, "b.ye"), (lab, "a.ca"), (isp, "c.ye")] {
+            let ip = net.alloc_ip(network).unwrap();
+            net.add_host(ip, network, &[name]);
+            added.push(ip);
+        }
+        let ips = |cidr: Cidr| net.hosts_in(cidr).map(|h| h.ip).collect::<Vec<_>>();
+        let [lab_prefix, isp_prefix] = [lab, isp].map(|id| net.network(id).cidrs[0]);
+        assert_eq!(ips(lab_prefix), vec![added[1]]);
+        assert_eq!(ips(isp_prefix), vec![added[0], added[2]]);
+        assert!(ips("10.0.0.0/24".parse().unwrap()).is_empty());
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! measures the cost of bad enrichment.
 
 use filterwatch_geodb::{AsnDb, GeoDb};
-use filterwatch_http::{Request, Url};
 use filterwatch_netsim::{Internet, IpAddr};
 
-use crate::engine::DEFAULT_PROBES;
+use crate::engine::{snippet, sweep_hosts, DEFAULT_PROBES};
 use crate::index::ScanIndex;
 use crate::record::ScanRecord;
 
@@ -33,7 +32,7 @@ pub struct CensusRecord {
     pub path: String,
     /// Raw response head.
     pub banner: String,
-    /// Leading body bytes.
+    /// Leading body characters (the same snippet a scan record keeps).
     pub body_snippet: String,
 }
 
@@ -54,31 +53,18 @@ impl CensusSweep {
         }
     }
 
-    /// Run the sweep.
+    /// Run the sweep: the same host walk as [`crate::ScanEngine`],
+    /// keeping each answer raw.
     pub fn run(&self, net: &Internet) -> Vec<CensusRecord> {
-        let mut out = Vec::new();
-        for &(cidr, _) in net.registry().prefixes() {
-            for ip in cidr.iter() {
-                for (port, path) in &self.probes {
-                    let url = Url::http_at(&ip.to_string(), *port, path);
-                    let Some(resp) = net.probe(ip, *port, &Request::get(url)).into_response()
-                    else {
-                        continue;
-                    };
-                    if resp.status.code() == 404 {
-                        continue;
-                    }
-                    let body = resp.body_text();
-                    out.push(CensusRecord {
-                        ip,
-                        port: *port,
-                        path: path.clone(),
-                        banner: resp.banner(),
-                        body_snippet: body.chars().take(400).collect(),
-                    });
-                }
+        let mut out = sweep_hosts(net, &self.probes, Some(1), |host, _, port, path, resp| {
+            CensusRecord {
+                ip: host.ip,
+                port,
+                path: path.to_string(),
+                banner: resp.banner(),
+                body_snippet: snippet(&resp),
             }
-        }
+        });
         out.sort_by(|a, b| (a.ip, a.port, &a.path).cmp(&(b.ip, b.port, &b.path)));
         out
     }

@@ -44,8 +44,14 @@ use parking_lot::Mutex;
 use crate::bitset::DenseBitSet;
 use crate::intern::{fnv1a, Interner, Sym};
 use crate::keywords::ProductKeywords;
+use crate::merge::default_workers;
 use crate::record::ScanRecord;
 use crate::shard::{IndexShard, ShardConfig, ShardEpoch};
+
+/// Records each worker must get before the default batched sweep goes
+/// parallel (the automaton pass runs at about 1 µs a record, so a share
+/// is ~10 ms of work).
+const MIN_RECORDS_PER_WORKER: usize = 8192;
 
 /// Words in the per-record trigram bloom (4096 bits). At typical
 /// banner sizes (~300 bytes, so ≲300 distinct trigrams and two bits
@@ -614,7 +620,9 @@ impl ScanIndex {
     /// The batched query the identify stage runs: every product's
     /// keyword list crossed with every `(country_code, cctld)` pair, in
     /// one automaton sweep over the in-scope corpus, parallelized over
-    /// shards. Returns, per product slug, the candidate addresses and
+    /// shards once the index holds two `MIN_RECORDS_PER_WORKER`
+    /// shares of records (smaller indexes sweep on the calling
+    /// thread). Returns, per product slug, the candidate addresses and
     /// the keywords (keyword-table order) that hit them. The compiled
     /// automaton and scope masks are cached on the index per epoch, so
     /// repeated sweeps pay no compilation.
@@ -626,9 +634,7 @@ impl ScanIndex {
     where
         I: IntoIterator<Item = (&'a str, &'a str)>,
     {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get().min(8))
-            .unwrap_or(4);
+        let threads = default_workers(self.records.len(), MIN_RECORDS_PER_WORKER);
         self.search_products_with_threads(table, cctlds, threads)
     }
 

@@ -6,7 +6,25 @@
 //! are the registered merge points the `c1-spawn-merge` lint requires
 //! spawning functions to reach: routing a join through one of them is
 //! machine-checkable proof the merge is ordered, where a comment is
-//! only a claim.
+//! only a claim. [`default_workers`] sizes the fan-out itself when the
+//! caller does not pin a worker count.
+
+/// Workers for a parallel stage over `items` pieces of work when the
+/// caller does not pin a count: the host's parallelism (at most 8), but
+/// never more workers than there are `min_per_worker`-sized shares.
+/// Below two shares the stage runs on the calling thread: spawning and
+/// joining workers for a few milliseconds of work saves nothing, and on
+/// a busy host the spawn and join cost varies from run to run.
+pub(crate) fn default_workers(items: usize, min_per_worker: usize) -> usize {
+    let shares = items / min_per_worker.max(1);
+    if shares < 2 {
+        return 1;
+    }
+    std::thread::available_parallelism()
+        .map(|n| n.get().min(8))
+        .unwrap_or(4)
+        .min(shares)
+}
 
 /// Concatenate per-worker result groups in group order. Workers are
 /// handed contiguous chunks of an ordered work list, so group-order
@@ -33,6 +51,14 @@ pub fn ordered_merge_by_key<T, K: Ord, F: FnMut(&T) -> K>(groups: Vec<Vec<T>>, k
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_workers_stay_serial_below_two_shares() {
+        assert_eq!(default_workers(0, 100), 1);
+        assert_eq!(default_workers(199, 100), 1);
+        assert!((1..=8).contains(&default_workers(100 * 100, 100)));
+        assert!((1..=3).contains(&default_workers(300, 100)));
+    }
 
     #[test]
     fn flatten_preserves_group_then_item_order() {

@@ -183,3 +183,36 @@ fn scan_only_sees_externally_visible_surface() {
         }
     }
 }
+
+/// The identify rung at ten times the `identify-scale` benchmark: 10⁴
+/// consoles in 2.56M allocated addresses, each found exactly once with
+/// the product its network was assigned round-robin. The scan walks
+/// bound hosts, so this stays cheap; it is still too heavy for the
+/// debug tier-1 sweep, and CI runs it in release
+/// (`cargo test -p filterwatch-suite --release --test identification -- --ignored`).
+#[test]
+#[ignore = "release-profile scale rung; run explicitly with -- --ignored"]
+fn scale_rung_ten_thousand_network_identify() {
+    const NETWORKS: usize = 10_000;
+    let world = World::synthetic(2, NETWORKS);
+    let report = IdentifyPipeline::new().run(&world.net);
+    assert_eq!(report.installations.len(), NETWORKS);
+    let mut seen = vec![false; NETWORKS];
+    for inst in &report.installations {
+        let i: usize = inst
+            .as_name
+            .strip_prefix("SYN")
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("not a synthetic network: {}", inst.as_name));
+        assert!(
+            i < NETWORKS && !seen[i],
+            "SYN{i} out of range or identified twice"
+        );
+        seen[i] = true;
+        assert_eq!(
+            inst.product,
+            ProductKind::ALL[i % ProductKind::ALL.len()],
+            "SYN{i}"
+        );
+    }
+}
