@@ -8,12 +8,16 @@
 //! analysts, it matches what deployments actually emit, not what the
 //! vendor source code says.
 //!
-//! The library is query-compiled: both signature tiers are
-//! [`CompiledPatternSet`]s, so a classify call case-folds the trace
-//! text **once** and answers every literal signature in a single
-//! automaton pass (wildcard signatures ride the verified fallback
-//! tier). Per-call latency can be recorded into a telemetry histogram
-//! via [`BlockPageLibrary::with_telemetry`].
+//! The library is query-compiled: the vendor and generic signatures
+//! are one [`CompiledPatternSet`], so a classify call answers every
+//! literal signature, and the literal factors of the wildcard
+//! signatures, in a single case-folding automaton pass over the trace
+//! text; a wildcard signature is backtracked only when all of its
+//! factors occurred. The compiled set is built once per process and
+//! shared by every library instance. Per-call latency can be recorded into a telemetry
+//! histogram via [`BlockPageLibrary::with_telemetry`], per instance.
+
+use std::sync::OnceLock;
 
 use filterwatch_pattern::{CompiledPatternSet, Pattern, PatternSet};
 use filterwatch_telemetry::TelemetryHandle;
@@ -46,9 +50,19 @@ pub struct BlockMatch {
 /// The vendor block-page signature library.
 #[derive(Debug, Clone)]
 pub struct BlockPageLibrary {
-    vendors: CompiledPatternSet,
-    generic: CompiledPatternSet,
+    signatures: &'static Signatures,
     telemetry: TelemetryHandle,
+}
+
+/// The compiled signatures, built once and shared by every library
+/// instance.
+#[derive(Debug)]
+struct Signatures {
+    /// Vendor signatures first, then the generic ones, so the first
+    /// match is a vendor's whenever any vendor signature fires.
+    set: CompiledPatternSet,
+    /// How many leading entries of `set` are vendor signatures.
+    vendors: usize,
 }
 
 impl Default for BlockPageLibrary {
@@ -59,43 +73,51 @@ impl Default for BlockPageLibrary {
 
 impl BlockPageLibrary {
     /// The standard library covering the four studied products plus a
-    /// generic explicit-denial fallback.
+    /// generic explicit-denial fallback. The signatures are compiled on
+    /// the first call in a process; later calls share them.
     pub fn standard() -> Self {
-        let mut vendors = PatternSet::new();
-        // McAfee SmartFilter / Web Gateway.
-        vendors.insert("smartfilter", Pattern::literal("mcafee web gateway"));
-        vendors.insert("smartfilter", Pattern::literal("via-proxy"));
-        // Blue Coat: the cfauth redirect or the WebFilter portal page.
-        vendors.insert("bluecoat", Pattern::literal("www.cfauth.com"));
-        vendors.insert("bluecoat", Pattern::literal("cfru="));
-        vendors.insert("bluecoat", Pattern::literal("blue coat webfilter"));
-        // Netsweeper: the deny URL and the deny page wording.
-        vendors.insert("netsweeper", Pattern::literal("webadmin/deny"));
-        vendors.insert(
-            "netsweeper",
-            Pattern::parse("web page blocked*netsweeper").expect("static"),
-        );
-        // Websense: the 15871 block-page URL or page branding.
-        vendors.insert(
-            "websense",
-            Pattern::parse(":15871/*blockpage.cgi").expect("static"),
-        );
-        vendors.insert("websense", Pattern::literal("websense"));
+        static STANDARD: OnceLock<Signatures> = OnceLock::new();
+        let signatures = STANDARD.get_or_init(|| {
+            let mut set = PatternSet::new();
+            // McAfee SmartFilter / Web Gateway.
+            set.insert("smartfilter", Pattern::literal("mcafee web gateway"));
+            set.insert("smartfilter", Pattern::literal("via-proxy"));
+            // Blue Coat: the cfauth redirect or the WebFilter portal page.
+            set.insert("bluecoat", Pattern::literal("www.cfauth.com"));
+            set.insert("bluecoat", Pattern::literal("cfru="));
+            set.insert("bluecoat", Pattern::literal("blue coat webfilter"));
+            // Netsweeper: the deny URL and the deny page wording.
+            set.insert("netsweeper", Pattern::literal("webadmin/deny"));
+            set.insert(
+                "netsweeper",
+                Pattern::parse("web page blocked*netsweeper").expect("static"),
+            );
+            // Websense: the 15871 block-page URL or page branding.
+            set.insert(
+                "websense",
+                Pattern::parse(":15871/*blockpage.cgi").expect("static"),
+            );
+            set.insert("websense", Pattern::literal("websense"));
 
-        let mut generic = PatternSet::new();
-        generic.insert("generic", Pattern::literal("has been blocked"));
-        generic.insert(
-            "generic",
-            Pattern::parse("access denied|access to this site is blocked").expect("static"),
-        );
-        generic.insert(
-            "generic",
-            Pattern::literal("access restricted by network policy"),
-        );
+            let vendors = set.len();
+            // Generic explicit-denial wording, after every vendor.
+            set.insert("generic", Pattern::literal("has been blocked"));
+            set.insert(
+                "generic",
+                Pattern::parse("access denied|access to this site is blocked").expect("static"),
+            );
+            set.insert(
+                "generic",
+                Pattern::literal("access restricted by network policy"),
+            );
 
+            Signatures {
+                set: CompiledPatternSet::compile(set),
+                vendors,
+            }
+        });
         BlockPageLibrary {
-            vendors: CompiledPatternSet::compile(vendors),
-            generic: CompiledPatternSet::compile(generic),
+            signatures,
             telemetry: TelemetryHandle::disabled(),
         }
     }
@@ -118,37 +140,25 @@ impl BlockPageLibrary {
     }
 
     fn classify_inner(&self, trace_text: &str) -> Option<BlockMatch> {
-        // One case-folding pass serves both tiers: every automaton and
-        // fallback pattern below matches against the pre-lowered text.
-        let lower = trace_text.to_ascii_lowercase();
-        if let Some(&index) = self
-            .vendors
-            .matching_indices_prefolded(trace_text, &lower)
-            .first()
-        {
-            let (name, pattern) = self.vendors.set().get(index).expect("index in range");
-            return Some(BlockMatch {
+        let Signatures { set, vendors } = self.signatures;
+        let &index = set.matching_indices(trace_text).first()?;
+        let (name, pattern) = set.set().get(index).expect("index in range");
+        Some(if index < *vendors {
+            BlockMatch {
                 product: Some(name.to_string()),
                 evidence: format!("vendor signature /{pattern}/"),
-            });
-        }
-        if let Some(&index) = self
-            .generic
-            .matching_indices_prefolded(trace_text, &lower)
-            .first()
-        {
-            let (_, pattern) = self.generic.set().get(index).expect("index in range");
-            return Some(BlockMatch {
+            }
+        } else {
+            BlockMatch {
                 product: None,
                 evidence: format!("generic denial /{pattern}/"),
-            });
-        }
-        None
+            }
+        })
     }
 
     /// Number of vendor signatures loaded.
     pub fn vendor_signature_count(&self) -> usize {
-        self.vendors.len()
+        self.signatures.vendors
     }
 }
 
@@ -212,6 +222,24 @@ mod tests {
     #[test]
     fn library_size() {
         assert!(BlockPageLibrary::standard().vendor_signature_count() >= 8);
+    }
+
+    #[test]
+    fn only_the_two_wildcard_signatures_backtrack() {
+        let lib = BlockPageLibrary::standard();
+        assert_eq!(lib.signatures.set.fallback_len(), 2);
+    }
+
+    #[test]
+    fn instances_share_signatures_but_not_telemetry() {
+        let a = BlockPageLibrary::standard().with_telemetry(TelemetryHandle::enabled());
+        let b = BlockPageLibrary::standard();
+        assert!(std::ptr::eq(a.signatures, b.signatures));
+        a.classify("Server: ProxySG");
+        let snapshot = a.telemetry.snapshot();
+        let histogram = snapshot.histogram_named(CLASSIFY_LATENCY_METRIC).unwrap();
+        assert_eq!(histogram.total, 1);
+        assert!(b.telemetry.snapshot().is_empty());
     }
 
     #[test]

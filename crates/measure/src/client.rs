@@ -47,6 +47,11 @@ impl FetchTrace {
     }
 }
 
+/// The final response's body bytes; empty when no response arrived.
+fn final_body(trace: &FetchTrace) -> &[u8] {
+    trace.final_response().map_or(&[], |r| &r.body)
+}
+
 /// What one vantage observed for one URL.
 #[derive(Debug, Clone)]
 pub enum Observation {
@@ -463,16 +468,17 @@ impl MeasurementClient {
                     _ => {
                         // No explicit denial: compare content. A strong
                         // divergence between the two copies is covert
-                        // in-path tampering.
-                        let field_body = trace
-                            .final_response()
-                            .map(|r| r.body_text())
-                            .unwrap_or_default();
-                        let lab_body = lab_trace
-                            .final_response()
-                            .map(|r| r.body_text())
-                            .unwrap_or_default();
-                        let similarity = body_similarity(&field_body, &lab_body);
+                        // in-path tampering. Identical copies score 1.0,
+                        // so only differing ones are tokenized.
+                        let field_body = final_body(trace);
+                        let lab_body = final_body(lab_trace);
+                        if field_body == lab_body {
+                            return Verdict::Accessible;
+                        }
+                        let similarity = body_similarity(
+                            &String::from_utf8_lossy(field_body),
+                            &String::from_utf8_lossy(lab_body),
+                        );
                         if similarity < MODIFIED_THRESHOLD {
                             Verdict::Modified { similarity }
                         } else {
@@ -667,6 +673,61 @@ mod tests {
         // The untouched site still reads accessible through the same path.
         let ok = client.test_url(&net, &Url::parse("http://www.fine.org/").unwrap());
         assert!(ok.verdict.is_accessible(), "{:?}", ok.verdict);
+    }
+
+    /// `compare` on unclassified pages gives the verdict of the plain
+    /// similarity route, whether or not the bodies are identical.
+    #[test]
+    fn compare_agrees_with_the_similarity_route() {
+        let (_, client) = world();
+        let url = Url::parse("http://www.fine.org/").unwrap();
+        let reached = |outcome: FetchOutcome| Observation::Reached {
+            status: 200,
+            trace: FetchTrace {
+                hops: vec![(url.clone(), outcome)],
+            },
+        };
+        let page = |body: &str| reached(FetchOutcome::Ok(Response::html(body)));
+        let similarity_route = |field: &Observation, lab: &Observation| {
+            let body = |obs: &Observation| match obs {
+                Observation::Reached { trace, .. } => trace
+                    .final_response()
+                    .map(|r| r.body_text())
+                    .unwrap_or_default(),
+                Observation::Failed { .. } => unreachable!(),
+            };
+            let similarity = body_similarity(&body(field), &body(lab));
+            if similarity < MODIFIED_THRESHOLD {
+                Verdict::Modified { similarity }
+            } else {
+                Verdict::Accessible
+            }
+        };
+        let story = "<p>independent reporting on the protests today</p>";
+        let cases = [
+            (page(story), page(story), "accessible"),
+            (page(""), page(""), "accessible"),
+            (
+                page(story),
+                page("<p>Independent reporting on the protests, today</p>"),
+                "accessible",
+            ),
+            (
+                page(story),
+                page("<p>official statement supersedes prior material</p>"),
+                "modified",
+            ),
+            (
+                reached(FetchOutcome::Timeout),
+                reached(FetchOutcome::Timeout),
+                "accessible",
+            ),
+        ];
+        for (field, lab, label) in &cases {
+            let verdict = client.compare(field, lab);
+            assert_eq!(verdict, similarity_route(field, lab));
+            assert_eq!(verdict.label(), *label);
+        }
     }
 
     #[test]

@@ -40,6 +40,25 @@ proptest! {
     }
 
     /// Whitespace-only perturbations never change similarity.
+    /// Byte-identical bodies score exactly 1.0 whatever they hold —
+    /// arbitrary bytes decoded the way the client decodes them, and
+    /// markup-only pages with no visible text — which is what lets the
+    /// field/lab comparison skip tokenizing identical copies.
+    #[test]
+    fn identical_bodies_score_one(
+        bytes in proptest::collection::vec(any::<u8>(), 0..160),
+        tags in proptest::collection::vec(
+            prop_oneof!["<[a-z]{1,6}( [a-z]{1,4}=\"[a-z]{0,4}\")?>", "</[a-z]{1,6}>", "[ \n]{1,3}"],
+            0..12,
+        ),
+    ) {
+        let body = String::from_utf8_lossy(&bytes);
+        let markup = tags.concat();
+        prop_assert_eq!(body_similarity(&body, &body), 1.0);
+        prop_assert_eq!(body_similarity(&markup, &markup), 1.0);
+        prop_assert_eq!(body_similarity("", ""), 1.0);
+    }
+
     #[test]
     fn similarity_ignores_whitespace(words in proptest::collection::vec("[a-z]{1,8}", 1..20)) {
         let single = words.join(" ");

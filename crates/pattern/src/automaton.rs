@@ -13,9 +13,11 @@
 //! classes and anchors need the backtracking matcher, so
 //! [`CompiledPatternSet`] keeps those as a *verified fallback tier*:
 //! literal branches (including each arm of a literal-only alternation)
-//! go into the automaton, everything else is scanned with the ordinary
-//! engine, and the union reproduces [`PatternSet::matches`] exactly —
-//! a property pinned by differential proptests.
+//! go into the automaton, and everything else is verified with the
+//! ordinary engine — but only on texts where the automaton pass found
+//! every literal factor of one of its branches. The union reproduces
+//! [`PatternSet::matches`] exactly — a property pinned by differential
+//! proptests.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -284,20 +286,48 @@ fn literal_needles(pattern: &Pattern) -> Option<Vec<String>> {
     Some(needles)
 }
 
+/// A pattern in the backtracking tier, with the literal factors each
+/// of its branches requires.
+#[derive(Debug, Clone)]
+struct Fallback {
+    /// Entry index in the set.
+    index: usize,
+    /// The pattern the verifier runs.
+    pattern: Pattern,
+    /// Per branch, the automaton ids of its non-empty literal tokens.
+    /// A branch can only match text in which every one of its factors
+    /// occurs; a branch with no factors can match any text.
+    branches: Vec<Vec<usize>>,
+}
+
+impl Fallback {
+    /// Whether some branch has all of its factors in `hit`.
+    fn is_candidate(&self, hit: &[bool]) -> bool {
+        self.branches
+            .iter()
+            .any(|factors| factors.iter().all(|&id| hit[id]))
+    }
+}
+
 /// A [`PatternSet`] compiled for repeated querying.
 ///
 /// Literal patterns (the overwhelming majority of scan keywords and
 /// block-page signatures) are fused into two [`Automaton`]s — one
 /// case-folding, one exact — while wildcard/class/anchored patterns
-/// remain a fallback tier scanned with the backtracking engine. Match
-/// results are identical to the uncompiled set's, in the same
-/// insertion order.
+/// remain a fallback tier verified with the backtracking engine. Each
+/// fallback branch's literal tokens ride the same automatons as extra
+/// needles (ids past the set's own entries), so the one scan that
+/// answers the literal tier also says which fallback patterns could
+/// match at all; only those reach the verifier. Match results are
+/// identical to the uncompiled set's, in the same insertion order.
 #[derive(Debug, Clone)]
 pub struct CompiledPatternSet {
     set: PatternSet,
     folded: Automaton,
     exact: Automaton,
-    fallback: Vec<usize>,
+    fallback: Vec<Fallback>,
+    /// Set entries plus fallback factors: the size of the hit table.
+    id_space: usize,
 }
 
 impl CompiledPatternSet {
@@ -307,23 +337,46 @@ impl CompiledPatternSet {
         let mut folded_needles: Vec<(usize, String)> = Vec::new();
         let mut exact_needles: Vec<(usize, String)> = Vec::new();
         let mut fallback = Vec::new();
+        let mut id_space = set.len();
         for (index, (_, pattern)) in set.iter().enumerate() {
+            // Factors of a case-insensitive pattern are matched by the
+            // folding automaton: its bytewise ASCII fold is the same
+            // comparison the backtracking matcher makes.
+            let bucket = if pattern.is_case_insensitive() {
+                &mut folded_needles
+            } else {
+                &mut exact_needles
+            };
             match literal_needles(pattern) {
-                Some(needles) => {
-                    let bucket = if pattern.is_case_insensitive() {
-                        &mut folded_needles
-                    } else {
-                        &mut exact_needles
-                    };
-                    bucket.extend(needles.into_iter().map(|n| (index, n)));
+                Some(needles) => bucket.extend(needles.into_iter().map(|n| (index, n))),
+                None => {
+                    let mut branches = Vec::new();
+                    for branch in pattern.branches() {
+                        let mut factors = Vec::new();
+                        for token in &branch.tokens {
+                            if let Token::Literal(lit) = token {
+                                if !lit.is_empty() {
+                                    bucket.push((id_space, lit.clone()));
+                                    factors.push(id_space);
+                                    id_space += 1;
+                                }
+                            }
+                        }
+                        branches.push(factors);
+                    }
+                    fallback.push(Fallback {
+                        index,
+                        pattern: pattern.clone(),
+                        branches,
+                    });
                 }
-                None => fallback.push(index),
             }
         }
         CompiledPatternSet {
             folded: Automaton::new(folded_needles, true),
             exact: Automaton::new(exact_needles, false),
             fallback,
+            id_space,
             set,
         }
     }
@@ -349,49 +402,33 @@ impl CompiledPatternSet {
     }
 
     /// Indices (in insertion order) of the entries matching `text`.
-    /// Case-folds `text` once, not once per pattern.
+    /// One pass of each automaton over the text answers the literal
+    /// entries and the fallback factors; the backtracking verifier runs
+    /// only on fallback patterns whose factors all occurred.
     pub fn matching_indices(&self, text: &str) -> Vec<usize> {
-        let lower = text.to_ascii_lowercase();
-        self.matching_indices_prefolded(text, &lower)
-    }
-
-    /// As [`matching_indices`](Self::matching_indices), for callers that
-    /// already hold a lowercased copy of `text` (e.g. a cached corpus).
-    /// `lower` must be `text.to_ascii_lowercase()`.
-    pub fn matching_indices_prefolded(&self, text: &str, lower: &str) -> Vec<usize> {
-        debug_assert!(text.eq_ignore_ascii_case(lower));
-        let mut hit = vec![false; self.set.len()];
-        for id in self.folded.matched_ids(lower) {
-            hit[id] = true;
-        }
-        for id in self.exact.matched_ids(text) {
-            hit[id] = true;
-        }
-        for &index in &self.fallback {
-            if hit[index] {
-                continue;
-            }
-            let (_, pattern) = self.set.get(index).expect("fallback index in range");
-            // Case-insensitive patterns fold during matching anyway, so
-            // handing them the pre-lowered text changes nothing; exact
-            // patterns must see the original.
-            let haystack = if pattern.is_case_insensitive() {
-                lower
-            } else {
-                text
-            };
-            if pattern.is_match(haystack) {
-                hit[index] = true;
+        let mut hit = vec![false; self.id_space];
+        let mut scratch = Vec::new();
+        let mut found = Vec::new();
+        for automaton in [&self.folded, &self.exact] {
+            automaton.matched_ids_into(text, &mut scratch, &mut found);
+            for &id in &found {
+                hit[id] = true;
             }
         }
-        hit.iter()
+        for fallback in &self.fallback {
+            if fallback.is_candidate(&hit) && fallback.pattern.is_match(text) {
+                hit[fallback.index] = true;
+            }
+        }
+        hit[..self.set.len()]
+            .iter()
             .enumerate()
             .filter_map(|(index, &h)| h.then_some(index))
             .collect()
     }
 
     /// All matches against `text`, in insertion order — same contract as
-    /// [`PatternSet::matches`], one folding pass over the text.
+    /// [`PatternSet::matches`].
     pub fn matches<'a>(&'a self, text: &str) -> Vec<SetMatch<'a>> {
         self.matching_indices(text)
             .into_iter()
@@ -558,13 +595,29 @@ mod tests {
     }
 
     #[test]
-    fn prefolded_entry_point_agrees() {
-        let compiled = CompiledPatternSet::compile(sample_set());
-        let text = "Server: ProxySG says Access Denied";
-        let lower = text.to_ascii_lowercase();
-        assert_eq!(
-            compiled.matching_indices(text),
-            compiled.matching_indices_prefolded(text, &lower)
-        );
+    fn fallback_factors_gate_the_verifier() {
+        let mut set = PatternSet::new();
+        set.insert_parsed("ns", "web page blocked*netsweeper")
+            .unwrap();
+        set.insert_parsed("free", "zz*|[0-9]?x").unwrap();
+        set.insert("exact", Pattern::parse_case_sensitive("Ab*Cd").unwrap());
+        let compiled = CompiledPatternSet::compile(set.clone());
+        assert_eq!(compiled.fallback_len(), 3);
+        for text in [
+            "WEB PAGE BLOCKED by NetSweeper",
+            "netsweeper before web page blocked",
+            "web page blocked only",
+            "7yx",
+            "Ab then Cd",
+            "ab then cd",
+            "Cd then Ab",
+            "",
+        ] {
+            assert_eq!(
+                set.matching_names(text),
+                compiled.matching_names(text),
+                "text={text:?}"
+            );
+        }
     }
 }

@@ -50,34 +50,24 @@ pub(crate) fn find_at(pattern: &Pattern, text: &str, from: usize) -> Option<Matc
 }
 
 fn find_branch(branch: &Branch, text: &str, from: usize, fold: bool) -> Option<MatchSpan> {
-    let starts: Vec<usize> = if branch.anchored_start {
-        if from == 0 {
-            vec![0]
-        } else {
-            vec![]
-        }
-    } else {
-        // All char boundaries at or after `from`.
-        let mut v: Vec<usize> = text
-            .char_indices()
-            .map(|(i, _)| i)
-            .filter(|&i| i >= from)
-            .collect();
-        if text.len() >= from {
-            v.push(text.len());
-        }
-        v
-    };
-
-    for start in starts {
-        if let Some(end) = match_tokens(&branch.tokens, &text[start..], fold, branch.anchored_end) {
-            return Some(MatchSpan {
+    let try_at = |start: usize| {
+        match_tokens(&branch.tokens, &text[start..], fold, branch.anchored_end).map(|end| {
+            MatchSpan {
                 start,
                 end: start + end,
-            });
-        }
+            }
+        })
+    };
+    if branch.anchored_start {
+        return if from == 0 { try_at(0) } else { None };
     }
-    None
+    // Every char boundary at or after `from`, then the end of the text,
+    // visited lazily so an early match stops the walk.
+    text.char_indices()
+        .map(|(i, _)| i)
+        .skip_while(|&i| i < from)
+        .chain((text.len() >= from).then_some(text.len()))
+        .find_map(try_at)
 }
 
 /// Try to match the full token list against a prefix of `rest`.
@@ -117,15 +107,11 @@ fn match_tokens(tokens: &[Token], rest: &str, fold: bool, to_end: bool) -> Optio
                     // should be minimal for unanchored patterns.
                     return Some(if to_end { rest.len() } else { 0 });
                 }
-                // Lazy expansion: try every split point.
-                let mut offsets: Vec<usize> = rest.char_indices().map(|(i, _)| i).collect();
-                offsets.push(rest.len());
-                for off in offsets {
-                    if let Some(n) = match_tokens(tail, &rest[off..], fold, to_end) {
-                        return Some(off + n);
-                    }
-                }
-                None
+                // Lazy expansion: try every split point, shortest first.
+                rest.char_indices()
+                    .map(|(i, _)| i)
+                    .chain(std::iter::once(rest.len()))
+                    .find_map(|off| match_tokens(tail, &rest[off..], fold, to_end).map(|n| off + n))
             }
         },
     }

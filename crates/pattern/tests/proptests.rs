@@ -175,3 +175,136 @@ proptest! {
         }
     }
 }
+
+/// What may sit between two literal factors of a generated wildcard
+/// pattern.
+const JOINS: &[&str] = &["*", "?", "[a-b]", "*?", "[!a]*", "*[A-Z]"];
+
+/// Branches with no literal factor: they can match any text, so the
+/// prefilter must always pass them to the verifier.
+const FACTOR_FREE: &[&str] = &["*", "?", "[a-z]", "??", "[!a-z]"];
+
+/// One alternation branch: `factors` joined by `JOINS[joins[..]]`.
+fn factored_branch(factors: &[String], joins: &[usize], start: bool, end: bool) -> String {
+    let mut src = String::new();
+    if start {
+        src.push('^');
+    }
+    for (i, factor) in factors.iter().enumerate() {
+        if i > 0 {
+            src.push_str(JOINS[joins[i % joins.len()] % JOINS.len()]);
+        }
+        src.push_str(factor);
+    }
+    if end {
+        src.push('$');
+    }
+    src
+}
+
+/// Append `next` to `text`, sharing the longest suffix of `text` that
+/// is a prefix of `next`, so the two occurrences overlap.
+fn push_overlapping(text: &mut String, next: &str) {
+    let shared = (0..=next.len().min(text.len()))
+        .rev()
+        .find(|&k| text.ends_with(&next[..k]))
+        .unwrap_or(0);
+    text.push_str(&next[shared..]);
+}
+
+/// Flip the ASCII case of every character.
+fn flip_case(s: &str) -> String {
+    s.chars()
+        .map(|c| {
+            if c.is_ascii_lowercase() {
+                c.to_ascii_uppercase()
+            } else {
+                c.to_ascii_lowercase()
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The compiled set's factor prefilter never changes an answer:
+    /// wildcard patterns with 2–4 literal factors (anchored or not,
+    /// alternated with factor-free and reordered branches, in both case
+    /// modes) match exactly as the uncompiled set does, on texts that
+    /// splice the factors in order, out of order, overlapping, partly
+    /// missing and with ASCII case flipped.
+    #[test]
+    fn factor_prefilter_equals_pattern_set(
+        factors in proptest::collection::vec("[abAB.]{1,4}", 2..5),
+        joins in proptest::collection::vec(0usize..64, 4),
+        anchors in (any::<bool>(), any::<bool>()),
+        free in proptest::option::of(0usize..64),
+        reordered in any::<bool>(),
+        case_sensitive in proptest::collection::vec(any::<bool>(), 4),
+        order in proptest::collection::vec(any::<u8>(), 4),
+        keep in proptest::collection::vec(0u8..8, 4),
+        flip in proptest::collection::vec(any::<bool>(), 4),
+        fillers in proptest::collection::vec("[abAB .]{0,3}", 5),
+    ) {
+        let parse = |src: &str, i: usize| {
+            if case_sensitive[i] {
+                Pattern::parse_case_sensitive(src)
+            } else {
+                Pattern::parse(src)
+            }
+            .unwrap()
+        };
+        let mut main = factored_branch(&factors, &joins, anchors.0, anchors.1);
+        if reordered {
+            let reversed: Vec<String> = factors.iter().rev().cloned().collect();
+            main = format!("{main}|{}", factored_branch(&reversed, &joins[1..], false, false));
+        }
+        if let Some(free) = free {
+            main = format!("{main}|{}", FACTOR_FREE[free % FACTOR_FREE.len()]);
+        }
+        let mut set = PatternSet::new();
+        set.insert("main", parse(&main, 0));
+        set.insert("pair", parse(&format!("{}*{}", factors[1], factors[0]), 1));
+        set.insert("literal", parse(&escape(&factors[0]), 2));
+        set.insert("anchored", parse(&format!("^*{}?", factors[factors.len() - 1]), 3));
+        let compiled = CompiledPatternSet::compile(set.clone());
+        prop_assert!(compiled.fallback_len() >= 3);
+
+        // Factors in a shuffled order, each kept with probability 7/8
+        // and case-flipped at random.
+        let mut picked: Vec<usize> = (0..factors.len()).collect();
+        picked.sort_by_key(|&i| order[i]);
+        let spliced: Vec<String> = picked
+            .iter()
+            .filter(|&&i| keep[i] != 0)
+            .map(|&i| if flip[i] { flip_case(&factors[i]) } else { factors[i].clone() })
+            .collect();
+        let mut separated = String::new();
+        let mut overlapped = String::new();
+        for (i, factor) in spliced.iter().enumerate() {
+            separated.push_str(&fillers[i]);
+            separated.push_str(factor);
+            push_overlapping(&mut overlapped, factor);
+        }
+        separated.push_str(&fillers[4]);
+        let mut in_order = String::new();
+        for factor in &factors {
+            push_overlapping(&mut in_order, factor);
+        }
+        let texts = [
+            separated.clone(),
+            overlapped.clone(),
+            in_order.clone(),
+            flip_case(&in_order),
+            factors.concat(),
+            format!("{}{}", fillers[0], factors.join(&fillers[1])),
+        ];
+        for text in &texts {
+            let naive: Vec<&str> = set.matches(text).iter().map(|m| m.name).collect();
+            let fast: Vec<&str> = compiled.matches(text).iter().map(|m| m.name).collect();
+            prop_assert_eq!(naive, fast, "patterns {:?} text {:?}", main, text);
+            prop_assert_eq!(set.matching_names(text), compiled.matching_names(text));
+        }
+    }
+}
